@@ -23,6 +23,7 @@ from .series import (
     Series,
     euler_power,
     euler_power_formal,
+    euler_power_recurrence,
     macdonald_eta_power,
     partition_gf,
     pentagonal_series,
@@ -55,6 +56,7 @@ __all__ = [
     "enumerate_t_cores",
     "euler_power",
     "euler_power_formal",
+    "euler_power_recurrence",
     "format_rational",
     "h_set",
     "hook_beta_poly_of",

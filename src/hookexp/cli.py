@@ -15,8 +15,8 @@ from .identities import REGISTRY, verify, verify_all
 from .partition import partition_count, partition_tuples, Partition
 from .series import (
     divisor_power_gf,
-    euler_power,
     euler_power_formal,
+    euler_power_recurrence,
     log_euler_sum,
     partition_gf,
     revert_euler,
@@ -67,7 +67,8 @@ def _cmd_expand(args):
         if base < 0:
             coeffs = [Fraction(0)] * (args.order + 1)
         else:
-            coeffs = list(euler_power(s, base).shift(args.shift).coeffs)
+            ser = euler_power_recurrence(s, base)
+            coeffs = list(ser.shift(args.shift).coeffs)
     if args.format == "plain":
         for n, c in enumerate(coeffs):
             print("%d: %s" % (n, _plain_coeff(c)))
@@ -97,6 +98,8 @@ def _cmd_verify(args):
     if args.all:
         if args.id:
             raise UsageError("--all cannot be combined with --id")
+        if args.order is not None and args.order < 0:
+            raise UsageError("--order must be at least 0 with --all")
         reports = verify_all(order_budget=args.order)
     else:
         if not args.id:
@@ -111,6 +114,10 @@ def _cmd_verify(args):
                 continue
             if key not in entry.defaults:
                 raise UsageError("%s takes no --%s parameter" % (args.id, flag))
+            floor = entry.minimal.get(key)
+            if floor is not None and value < floor:
+                raise UsageError("--%s must be at least %d for %s"
+                                 % (flag, floor, args.id))
             params[key] = value
         reports = [verify(args.id, params)]
     if args.format == "json":
@@ -192,7 +199,7 @@ def _cmd_coding(args):
 
 def _seq_values(name, count):
     if name == "tau":
-        ser = euler_power(24, count - 1)
+        ser = euler_power_recurrence(24, count - 1)
         return [_as_int(ser[i], "tau(%d)" % (i + 1)) for i in range(count)]
     if name == "a006128":
         ser = partition_gf(count) * divisor_power_gf(0, count)

@@ -659,7 +659,7 @@ def _check_kostant_poly(k):
             total = total + BetaPoly([Fraction(c, den) for c in poly])
         f_part = total * ((-1) ** kk)
         if f_exp != f_part:
-            return False, rng, _mm("k=%d (exp vs partition routes)" % kk,
+            return False, rng, _mm("k=%d (series vs partition routes)" % kk,
                                    f_exp, f_part)
         if kk in closed and f_exp != closed[kk]:
             return False, rng, _mm("k=%d (closed form)" % kk, f_exp, closed[kk])

@@ -4,14 +4,15 @@ A Series holds coefficients c_0..c_N (order N) which are either Fractions or
 BetaPolys; arithmetic between two series truncates to the smaller order.
 On top of the generic ring operations this module provides the expansions
 the rest of the package is built from: powers of the Euler product
-prod_{m>=1} (1 - x^m) with rational or formal exponent, the classical sparse
+prod_{m>=1} (1 - x^m) with rational or formal exponent (by exp/log, or by
+the sparse power recurrence over the pentagonal series), the classical sparse
 series (pentagonal numbers, cubes, an eighth-power double sum), divisor
 power sums, principal specializations of Schur functions, a lattice-sum
 route to eta powers, and compositional reversion of x * (Euler product).
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import factorial, isqrt, perm
 
 from .exactnum import BetaPoly
 from .partition import (
@@ -230,11 +231,82 @@ def euler_power(s, order):
     return Series([-s * c for c in lg.coeffs]).exp()
 
 
+def _pentagonal_terms(order):
+    """(k, f_k) for the nonzero f_k = [x^k] prod (1 - x^m), 1 <= k <= order,
+    in increasing k; there are O(sqrt(order)) of them."""
+    return [(k, int(c)) for k, c in enumerate(pentagonal_series(order).coeffs)
+            if k and c]
+
+
+def euler_power_recurrence(s, order):
+    """prod_{m>=1} (1 - x^m)^s for an exact rational s = p/q, by the
+    Euler / J.C.P. Miller power recurrence (Knuth, TAOCP vol. 2, 4.7) over
+    the pentagonal series f = prod (1 - x^m):
+
+        q n a_n = sum_{k>=1} ((p + q) k - q n) f_k a_{n-k},
+
+    where only the O(sqrt(n)) pentagonal k contribute.  A coefficient stays
+    a Python int while it is integral (always, for integer s) and becomes a
+    Fraction otherwise; every coefficient of the result is a Fraction, as
+    with euler_power.
+    """
+    s = Fraction(s)
+    p, q = s.numerator, s.denominator
+    terms = _pentagonal_terms(order)
+    a = [1]
+    for n in range(1, order + 1):
+        acc = 0
+        for k, fk in terms:
+            if k > n:
+                break
+            acc += ((p + q) * k - q * n) * fk * a[n - k]
+        den = q * n
+        if isinstance(acc, int):
+            c, r = divmod(acc, den)
+            if r:
+                if q == 1:
+                    raise ArithmeticError(
+                        "integer Euler power has a non-integral x^%d coefficient"
+                        % n)
+                c = Fraction(acc, den)
+        else:
+            c = acc / den
+            if c.denominator == 1:
+                c = c.numerator
+        a.append(c)
+    return Series([Fraction(c) for c in a])
+
+
 def euler_power_formal(order):
-    """prod (1 - x^m)^(beta - 1) with beta formal: a Series of BetaPolys."""
-    lg = log_euler_sum(order)
-    f = Series([BetaPoly((c, -c)) for c in lg.coeffs])  # (1 - beta) * lg
-    return f.exp()
+    """prod (1 - x^m)^(beta - 1) with beta formal: a Series of BetaPolys.
+
+    The power recurrence of euler_power_recurrence with s = beta - 1, run on
+    A_n = n! a_n, which lies in Z[beta] (Corollary 2.3):
+
+        A_n = sum_{k>=1} (beta k - n) f_k (n-1)!/(n-k)! A_{n-k}.
+
+    The A_n are plain int coefficient lists, lowest degree first; each is
+    divided by n! once, when the BetaPoly is built.
+    """
+    terms = _pentagonal_terms(order)
+    A = [[1]]
+    for n in range(1, order + 1):
+        acc = [0] * (n + 1)
+        for k, fk in terms:
+            if k > n:
+                break
+            c = fk * perm(n - 1, k - 1)  # f_k (n-1)!/(n-k)!
+            cn, ck = c * n, c * k
+            for i, v in enumerate(A[n - k]):
+                if v:
+                    acc[i] -= cn * v
+                    acc[i + 1] += ck * v
+        A.append(acc)
+    out = []
+    for n, An in enumerate(A):
+        nf = factorial(n)
+        out.append(BetaPoly([Fraction(v, nf) for v in An]))
+    return Series(out)
 
 
 def euler_product_direct(s, order, step=1):
@@ -296,6 +368,13 @@ def jacobi_cube_series(order):
     return Series([Fraction(a) for a in out])
 
 
+def _half(v):
+    c, r = divmod(v, 2)
+    if r:
+        raise ArithmeticError("eta8 double-sum term %d is odd" % v)
+    return c
+
+
 def eta8_double_sum(order):
     """prod (1 - x^m)^8 as a two-parameter sparse double sum.
 
@@ -314,13 +393,9 @@ def eta8_double_sum(order):
             if e1 > order and e2 > order:
                 break
             if e1 <= order:
-                c, r = divmod((3 * k + 1) * (3 * m + 1) * (3 * k + 3 * m + 2), 2)
-                assert r == 0
-                out[e1] += c
+                out[e1] += _half((3 * k + 1) * (3 * m + 1) * (3 * k + 3 * m + 2))
             if e2 <= order:
-                c, r = divmod((3 * k + 2) * (3 * m + 2) * (3 * k + 3 * m + 4), 2)
-                assert r == 0
-                out[e2] -= c
+                out[e2] -= _half((3 * k + 2) * (3 * m + 2) * (3 * k + 3 * m + 4))
             m += 1
         k += 1
     return Series([Fraction(a) for a in out])
@@ -378,7 +453,8 @@ def macdonald_eta_power(t, order):
     out = []
     for a in acc:
         c = Fraction(sign * a, den)
-        assert c.denominator == 1, "eta-power coefficients must be integers"
+        if c.denominator != 1:
+            raise ArithmeticError("eta-power coefficients must be integers")
         out.append(c)
     return Series(out)
 
@@ -423,23 +499,28 @@ def revert_euler(order, method="lagrange"):
     method="lagrange" extracts each coefficient as a hook-length sum:
       [x^n] y = (1/n) * sum over partitions of n-1 of prod(1 + (n-1)/h^2).
     method="iterate" solves the fixed point y = x / prod(1 - y^m) by
-    successive substitution, one extra correct order per round.
+    successive substitution over int coefficients, one extra correct order
+    per round.  Both return Fraction coefficients.
     """
     if method == "lagrange":
         coeffs = [_ZERO]
         for n in range(1, order + 1):
             c = hook_beta_sum(n - 1, -(n - 1)) / n
-            assert c.denominator == 1
+            if c.denominator != 1:
+                raise ArithmeticError(
+                    "reversion coefficient of x^%d is not an integer" % n)
             coeffs.append(c)
         return Series(coeffs)
     if method != "iterate":
         raise ValueError("method must be 'lagrange' or 'iterate'")
-    pgf = partition_gf(order)
-    y = Series.x(order)
+    # the coefficients are integers, so the iteration runs on ints
+    pgf = Series([int(c) for c in partition_gf(order).coeffs])
+    y = Series.x(order, one=1)
     for _ in range(order + 1):
         nxt = pgf.compose(y).shift(1).truncate(order)
         if nxt == y:
             break
         y = nxt
-    assert pgf.compose(y).shift(1).truncate(order) == y, "iteration did not settle"
-    return y
+    else:
+        raise RuntimeError("iteration did not settle")
+    return y.map(Fraction)

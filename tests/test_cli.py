@@ -102,6 +102,17 @@ def test_verify_usage_errors():
     assert run_cli("verify", "--id", "main-identity", "--all")[0] == 2
 
 
+def test_verify_rejects_order_below_minimum():
+    code, out, err = run_cli("verify", "--all", "--order", "-3")
+    assert (code, out) == (2, "")
+    assert "--order" in err and "at least 0" in err
+    for cid, order, floor in (("tau-5core", "0", 1), ("main-identity", "-5", 0)):
+        code, out, err = run_cli("verify", "--id", cid, "--order", order)
+        assert (code, out) == (2, "")
+        assert "--order" in err and "at least %d" % floor in err
+        assert "constant term" not in err
+
+
 def test_verify_all_with_budget():
     code, out, _ = run_cli("verify", "--all", "--order", "0",
                            "--format", "json")
@@ -217,3 +228,15 @@ def test_console_entry_point_matches_library(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "1 1\n2 -24\n3 252\n"
+
+
+def test_cli_output_does_not_depend_on_python_O():
+    import subprocess
+    import sys
+    argv = ["-m", "hookexp.cli", "revert", "--order", "12", "--method", "iterate"]
+    plain = subprocess.run([sys.executable] + argv, capture_output=True, text=True)
+    opt = subprocess.run([sys.executable, "-O"] + argv, capture_output=True,
+                         text=True)
+    assert plain.returncode == opt.returncode == 0
+    assert plain.stdout.splitlines()[:5] == ["0: 0", "1: 1", "2: 1", "3: 3", "4: 10"]
+    assert opt.stdout == plain.stdout

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hookexp.exactnum import BetaPoly
 from hookexp.partition import (
     hook_beta_sum,
+    hook_beta_sum_poly,
     partition_count,
     partition_tuples,
 )
@@ -14,6 +16,7 @@ from hookexp.series import (
     eta8_double_sum,
     euler_power,
     euler_power_formal,
+    euler_power_recurrence,
     euler_product_direct,
     jacobi_cube_series,
     log_euler_sum,
@@ -113,6 +116,7 @@ def test_euler_power_is_multiplicative_in_the_exponent():
 def test_euler_power_matches_direct_product_for_integers():
     for s in (-2, -1, 0, 1, 2, 3, 8, 24):
         assert euler_power(s, N) == euler_product_direct(s, N)
+        assert euler_power_recurrence(s, N) == euler_product_direct(s, N)
 
 
 def test_sparse_classical_series():
@@ -141,10 +145,46 @@ def test_formal_euler_power_evaluates_to_numeric_ones():
 
 def test_formal_euler_power_matches_hook_sums():
     # coefficient-exact comparison against the partition route
-    from hookexp.partition import hook_beta_sum_poly
-    f = euler_power_formal(8)
-    for n in range(9):
+    f = euler_power_formal(10)
+    assert all(type(c) is BetaPoly for c in f.coeffs)
+    for n in range(11):
         assert f[n] == hook_beta_sum_poly(n)
+
+
+small_rationals = st.fractions(min_value=-12, max_value=12, max_denominator=7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rationals, st.integers(min_value=0, max_value=40))
+def test_power_recurrence_matches_exp_log(s, order):
+    rec = euler_power_recurrence(s, order)
+    assert rec == euler_power(s, order)
+    assert all(type(c) is Fraction for c in rec.coeffs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_rationals)
+def test_formal_power_recurrence_evaluates_to_exp_log(beta):
+    f = euler_power_formal(12)
+    num = euler_power(beta - 1, 12)
+    for n in range(13):
+        assert f[n].eval(beta) == num[n]
+
+
+def test_integer_iteration_matches_lagrange_to_order_20():
+    for order in range(21):
+        a = revert_euler(order, method="lagrange")
+        b = revert_euler(order, method="iterate")
+        assert a == b
+        assert all(type(c) is Fraction for c in b.coeffs)
+
+
+def test_lagrange_integrality_check_raises(monkeypatch):
+    import hookexp.series as series_mod
+    monkeypatch.setattr(series_mod, "hook_beta_sum",
+                        lambda n, beta: Fraction(1, 2))
+    with pytest.raises(ArithmeticError):
+        revert_euler(3, method="lagrange")
 
 
 def test_compose_and_shift():
