@@ -209,7 +209,7 @@ def _seq_values(name, count):
         return [_as_int(ser[i] * factorial(i), "a(%d)" % i)
                 for i in range(1, count + 1)]
     if name == "a109085":
-        ser = revert_euler(count)
+        ser = revert_euler(count, method="iterate")
         return [_as_int(ser[i], "a(%d)" % i) for i in range(1, count + 1)]
     # pp: ordered pairs of partitions with total size n
     pl = [partition_count(i) for i in range(count + 1)]

@@ -21,13 +21,15 @@ from math import factorial
 from .exactnum import BetaPoly, serialize_scalar
 from .partition import (
     b_stat_of,
-    conjugate_of,
     contents_of,
+    hook_beta_poly_of,
     hook_beta_sum,
     hook_beta_sum_poly,
     hook_eval_product,
     hook_lists,
     hook_multiset_all,
+    hook_power_moment,
+    hook_power_moment2,
     hook_type_census,
     hooks_of,
     part_occurrence_census,
@@ -125,23 +127,6 @@ def _mm(location, lhs, rhs):
     def ser(x):
         return x if isinstance(x, str) else serialize_scalar(x)
     return {"location": location, "lhs": ser(lhs), "rhs": ser(rhs)}
-
-
-def _conj_reps(n):
-    """(parts, hooks, multiplicity) over conjugate-class representatives."""
-    for parts, hooks in zip(partition_tuples(n), hook_lists(n)):
-        conj = conjugate_of(parts)
-        if conj > parts:
-            continue
-        yield parts, hooks, (1 if conj == parts else 2)
-
-
-def _hook_stat_sum(n, stat):
-    """sum over partitions of n of stat(hooks), using conjugation symmetry."""
-    total = Fraction(0)
-    for _, hooks, mult in _conj_reps(n):
-        total += mult * stat(hooks)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +430,7 @@ def _check_prop_6_1(N):
     rng = "x^0..x^%d" % N
     rhs = partition_gf(N) * log_euler_sum(N)
     for m in range(N + 1):
-        lhs = _hook_stat_sum(m, lambda hooks: sum(Fraction(1, h * h) for h in hooks))
+        lhs = hook_power_moment(m, -2)
         if lhs != rhs[m]:
             return False, rng, _mm("x^%d" % m, lhs, rhs[m])
     return True, rng, None
@@ -461,16 +446,10 @@ def _check_thm_6_2(N, alpha):
     for a in alphas:
         rhs = pgf * divisor_power_gf(a + 1, N)
         for m in range(N + 1):
-            lhs = _hook_stat_sum(m, lambda hooks: _power_stat(hooks, a))
+            lhs = hook_power_moment(m, a)
             if lhs != rhs[m]:
                 return False, rng, _mm("alpha=%d x^%d" % (a, m), lhs, rhs[m])
     return True, rng, None
-
-
-def _power_stat(hooks, alpha):
-    if alpha >= 0:
-        return Fraction(sum(h ** alpha for h in hooks))
-    return sum(Fraction(1, h ** -alpha) for h in hooks)
 
 
 @_register("sebbm",
@@ -522,7 +501,7 @@ def _check_cor_6_7(N):
             msum[i] += j * prodarr[i - j]
     for m in range(N + 1):
         total_parts = sum(len(parts) for parts in partition_tuples(m))
-        hooks_form = _hook_stat_sum(m, lambda hooks: sum(Fraction(1, h) for h in hooks))
+        hooks_form = hook_power_moment(m, -1)
         if hooks_form != total_parts:
             return False, rng, _mm("x^%d (hooks vs parts)" % m,
                                    hooks_form, Fraction(total_parts))
@@ -542,14 +521,8 @@ def _check_prop_6_8(N):
     rng = "x^0..x^%d" % N
     lg = log_euler_sum(N)
     rhs = partition_gf(N) * lg * lg * Fraction(1, 2)
-
-    def pair_stat(hooks):
-        s1 = sum(Fraction(1, h * h) for h in hooks)
-        s2 = sum(Fraction(1, h ** 4) for h in hooks)
-        return (s1 * s1 - s2) / 2
-
     for m in range(N + 1):
-        lhs = _hook_stat_sum(m, pair_stat)
+        lhs = (hook_power_moment2(m, -2) - hook_power_moment(m, -4)) / 2
         if lhs != rhs[m]:
             return False, rng, _mm("x^%d" % m, lhs, rhs[m])
     return True, rng, None
@@ -562,13 +535,8 @@ def _check_thm_6_9(N):
     rng = "x^0..x^%d" % N
     lg = log_euler_sum(N)
     rhs = partition_gf(N) * (divisor_power_gf(-3, N) + lg * lg)
-
-    def sq_stat(hooks):
-        s1 = sum(Fraction(1, h * h) for h in hooks)
-        return s1 * s1
-
     for m in range(N + 1):
-        lhs = _hook_stat_sum(m, sq_stat)
+        lhs = hook_power_moment2(m, -2)
         if lhs != rhs[m]:
             return False, rng, _mm("x^%d" % m, lhs, rhs[m])
     return True, rng, None
@@ -643,21 +611,10 @@ def _check_kostant_poly(k):
     EF = euler_power_formal(k)
     for kk in range(k + 1):
         f_exp = EF[kk].subst_linear(1, 1)  # beta = s + 1
-        # partition route: f_k(s) = (-1)^k * sum over partitions of k
-        # of prod (s + 1 - h^2) / h^2
-        total = BetaPoly()
-        for hooks in hook_lists(kk):
-            poly = [1]
-            den = 1
-            for h in hooks:
-                h2 = h * h
-                den *= h2
-                poly.append(poly[-1])
-                for i in range(len(poly) - 2, 0, -1):
-                    poly[i] = (1 - h2) * poly[i] + poly[i - 1]
-                poly[0] = (1 - h2) * poly[0]
-            total = total + BetaPoly([Fraction(c, den) for c in poly])
-        f_part = total * ((-1) ** kk)
+        # partition route: f_k(s) = sum over partitions of k of
+        # prod (1 - (s + 1) / h^2)
+        f_part = sum(map(hook_beta_poly_of, partition_tuples(kk)),
+                     BetaPoly()).subst_linear(1, 1)
         if f_exp != f_part:
             return False, rng, _mm("k=%d (series vs partition routes)" % kk,
                                    f_exp, f_part)
@@ -869,7 +826,8 @@ def verify(check_id, params=None):
     start = time.perf_counter()
     ok, rng, mismatch = entry.fn(**merged)
     elapsed = (time.perf_counter() - start) * 1000.0
-    assert mismatch is None if ok else mismatch is not None
+    if (mismatch is None) != bool(ok):
+        raise RuntimeError("%s: status and first_mismatch disagree" % check_id)
     return VerificationReport(
         id=check_id,
         params=merged,

@@ -12,7 +12,8 @@ Fast paths work on plain tuples (`partition_tuples`, `hooks_of`, ...); the
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, lcm, prod
+from operator import mul
 
 from .exactnum import BetaPoly
 
@@ -137,7 +138,8 @@ def syt_count_of(parts):
     n = sum(parts)
     ph = prod(hooks_of(parts))
     f, rem = divmod(factorial(n), ph)
-    assert rem == 0, "hook product must divide n!"
+    if rem:
+        raise ArithmeticError("hook product must divide n!")
     return f
 
 
@@ -172,11 +174,15 @@ def hook_eval_product(parts, beta):
     return Fraction(num, den * q ** sum(parts))
 
 
-def hook_power_sum(parts, alpha):
-    """sum over cells of h^alpha (exact; Fractions for negative alpha)."""
-    if alpha >= 0:
-        return Fraction(sum(h ** alpha for h in hooks_of(parts)))
-    return sum(Fraction(1, h ** -alpha) for h in hooks_of(parts))
+def conjugate_reps(n):
+    """Yield (hooks, multiplicity) per conjugate class of partitions of n:
+    conjugation preserves hooks, so a non-self-conjugate class counts twice.
+    """
+    for parts, hooks in zip(partition_tuples(n), hook_lists(n)):
+        conj = conjugate_of(parts)
+        if conj > parts:
+            continue
+        yield hooks, (1 if conj == parts else 2)
 
 
 def hook_beta_sum(n, beta):
@@ -185,18 +191,13 @@ def hook_beta_sum(n, beta):
     Uses the tableau-count form: the sum equals
     (1/n!^2) * sum_lambda f_lambda^2 * prod(h^2 - beta), which keeps the
     accumulation in integer arithmetic (one Fraction at the end).  The sum
-    is restricted to conjugate-class representatives (hooks are preserved
-    by conjugation).
+    runs over conjugate-class representatives.
     """
     beta = Fraction(beta)
     p, q = beta.numerator, beta.denominator
     fact = factorial(n)
     total = 0
-    for parts, hooks in zip(partition_tuples(n), hook_lists(n)):
-        conj = conjugate_of(parts)
-        if conj > parts:
-            continue
-        mult = 1 if conj == parts else 2
+    for hooks, mult in conjugate_reps(n):
         num = 1
         ph = 1
         for h in hooks:
@@ -216,11 +217,7 @@ def hook_beta_sum_poly(n):
     """
     fact = factorial(n)
     acc = [0] * (n + 1)
-    for parts, hooks in zip(partition_tuples(n), hook_lists(n)):
-        conj = conjugate_of(parts)
-        if conj > parts:
-            continue
-        mult = 1 if conj == parts else 2
+    for hooks, mult in conjugate_reps(n):
         poly = [1]
         ph = 1
         for h in hooks:
@@ -236,6 +233,48 @@ def hook_beta_sum_poly(n):
             acc[i] += w * c
     fact2 = fact * fact
     return BetaPoly([Fraction(c, fact2) for c in acc])
+
+
+# ---------------------------------------------------------------------------
+# the hook-count census
+
+@lru_cache(maxsize=None)
+def hook_count_census(n):
+    """Int tuples C1[h] = sum c_h and C2[h][g] = sum c_h * c_g over the
+    partitions of n, c_h counting the cells of hook length h (0 <= h, g <= n).
+    """
+    c1 = [0] * (n + 1)
+    c2 = [[0] * (n + 1) for _ in c1]
+    for hooks, mult in conjugate_reps(n):
+        counts = Counter(hooks).items()
+        for h, a in counts:
+            c1[h] += mult * a
+            row = c2[h]
+            for g, b in counts:
+                row[g] += mult * a * b
+    return tuple(c1), tuple(map(tuple, c2))
+
+
+def _power_weights(n, alpha):
+    """Ints w[h], d with h^alpha = w[h] / d for 1 <= h <= n; w[0] = 0."""
+    if alpha >= 0:
+        return [0] + [h ** alpha for h in range(1, n + 1)], 1
+    top = lcm(*range(1, n + 1))
+    return [0] + [(top // h) ** -alpha for h in range(1, n + 1)], top ** -alpha
+
+
+def hook_power_moment(n, alpha):
+    """sum over partitions of n of sum over cells of h^alpha (integer alpha)."""
+    w, d = _power_weights(n, alpha)
+    return Fraction(sum(map(mul, hook_count_census(n)[0], w)), d)
+
+
+def hook_power_moment2(n, alpha):
+    """sum over partitions of n of (sum over cells of h^alpha)^2."""
+    w, d = _power_weights(n, alpha)
+    c2 = hook_count_census(n)[1]
+    return Fraction(sum(x * sum(map(mul, row, w)) for x, row in zip(w, c2)),
+                    d * d)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,12 @@ def _parts_of(obj):
     return validate_partition(parts)
 
 
+def _invariant(ok, what):
+    """Raise unless a coding invariant holds (unlike assert, also under -O)."""
+    if not ok:
+        raise ArithmeticError("t-core coding invariant failed: " + what)
+
+
 def _require_coding_t(t):
     if not isinstance(t, int) or t < 3 or t % 2 == 0:
         raise ValueError("codings need an odd t >= 3, got %r" % (t,))
@@ -111,26 +117,26 @@ def u_coding(parts, t):
     hs = h_set(parts, t)
     best = max_by_residue(hs.elements, t)
     u = tuple(best[i] for i in range(t))
-    assert u[0] == -t
+    _invariant(u[0] == -t, "u_0 must be -t")
     return u
 
 
 def v_coding(parts, t):
     """Zero-sum V-coding, listed by residue (v_i = i mod t)."""
     u = u_coding(parts, t)
-    s = sum(u)
-    assert s % t == 0, "U-coding sum must be divisible by t"
-    shift = s // t
+    shift, rem = divmod(sum(u), t)
+    _invariant(rem == 0, "U-coding sum must be divisible by t")
     # the shift is determined by the length and t alone
-    assert shift == len(_parts_of(parts)) - (t - 1) // 2 - 1
+    _invariant(shift == len(_parts_of(parts)) - (t - 1) // 2 - 1,
+               "V-coding shift must follow from the length")
     shifted = [x - shift for x in u]
     v = [None] * t
     for x in shifted:
         r = x % t
-        assert v[r] is None
+        _invariant(v[r] is None, "V-coding residues must be distinct")
         v[r] = x
     v = tuple(v)
-    assert sum(v) == 0
+    _invariant(sum(v) == 0, "V-coding must sum to zero")
     return v
 
 
@@ -146,7 +152,7 @@ def n_coding(parts, t):
         if r not in best or reg > best[r]:
             best[r] = reg
     n = tuple(best[i] for i in range(t))
-    assert sum(n) == 0, "N-coding must sum to zero"
+    _invariant(sum(n) == 0, "N-coding must sum to zero")
     return n
 
 
@@ -162,7 +168,7 @@ def v_from_n(nvec, t):
     for i in range(tp + 1, t):
         v[i] = t * nvec[i - tp - 1] + i - t
     v = tuple(v)
-    assert sum(v) == 0
+    _invariant(sum(v) == 0, "V-coding must sum to zero")
     return v
 
 
@@ -175,8 +181,8 @@ def n_from_v(vvec, t):
     for v in vvec:
         j = (v + tp) % t
         q, r = divmod(v + tp - j, t)
-        assert r == 0
-        assert n[j] is None
+        _invariant(r == 0 and n[j] is None,
+                   "each residue class must get one N-coding entry")
         n[j] = q
     return tuple(n)
 
@@ -199,7 +205,7 @@ def u_from_v(vvec, t):
         x = v + shift
         u[x % t] = x
     u = tuple(u)
-    assert u[0] == -t
+    _invariant(u[0] == -t, "u_0 must be -t")
     return u
 
 
@@ -215,8 +221,9 @@ def core_from_v(vvec, t):
     length = len(hooks)
     parts = tuple(h - length + i for i, h in enumerate(hooks, start=1))
     parts = validate_partition(parts)
-    assert is_t_core(parts, t)
-    assert v_coding(parts, t) == tuple(vvec)
+    _invariant(is_t_core(parts, t), "decoded partition must be a t-core")
+    _invariant(v_coding(parts, t) == tuple(vvec),
+               "decoded core must round-trip to its V-coding")
     return parts
 
 
@@ -239,7 +246,7 @@ def core_weight_from_n(nvec, t):
         raise ValueError("N-coding must have t entries summing to zero")
     num = t * sum(m * m for m in nvec) + 2 * sum(i * m for i, m in enumerate(nvec))
     q, r = divmod(num, 2)
-    assert r == 0
+    _invariant(r == 0, "N-coding weight must be an integer")
     return q
 
 

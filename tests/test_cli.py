@@ -240,3 +240,37 @@ def test_cli_output_does_not_depend_on_python_O():
     assert plain.returncode == opt.returncode == 0
     assert plain.stdout.splitlines()[:5] == ["0: 0", "1: 1", "2: 1", "3: 3", "4: 10"]
     assert opt.stdout == plain.stdout
+
+
+def test_seq_a109085_matches_lagrange_reversion():
+    code, out, _ = run_cli("seq", "--name", "a109085", "--count", "20")
+    assert code == 0
+    seq = [line.split() for line in out.splitlines()]
+    code, out, _ = run_cli("revert", "--order", "20", "--method", "lagrange")
+    assert code == 0
+    rev = [line.split(": ") for line in out.splitlines()]
+    assert len(seq) == 20
+    for (i, a), (n, b) in zip(seq, rev[1:]):
+        assert (i, a) == (n, b)
+
+
+def test_cores_coding_round_trip_checks_survive_python_O():
+    import subprocess
+    import sys
+    argv = ["cores", "--n", "12", "--t", "5", "--method", "coding"]
+    plain = subprocess.run([sys.executable, "-m", "hookexp.cli"] + argv,
+                           capture_output=True, text=True)
+    opt = subprocess.run([sys.executable, "-O", "-m", "hookexp.cli"] + argv,
+                         capture_output=True, text=True)
+    assert plain.returncode == opt.returncode == 0
+    assert opt.stdout == plain.stdout and plain.stdout
+    # break the V-coding that core_from_v round-trips through
+    patched = ("import sys, hookexp.tcore as T; from hookexp.cli import main; "
+               "orig = T.v_coding; "
+               "T.v_coding = lambda p, t: tuple(reversed(orig(p, t))); "
+               "sys.exit(main(%r))" % (argv,))
+    bad = subprocess.run([sys.executable, "-O", "-c", patched],
+                         capture_output=True, text=True)
+    assert bad.returncode != 0
+    assert "ArithmeticError" in bad.stderr and "round-trip" in bad.stderr
+    assert bad.stdout == ""

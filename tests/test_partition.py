@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hookexp.partition import (
     Partition,
@@ -12,8 +13,11 @@ from hookexp.partition import (
     hook_beta_poly_of,
     hook_beta_sum,
     hook_beta_sum_poly,
+    hook_count_census,
     hook_eval_product,
     hook_multiset_all,
+    hook_power_moment,
+    hook_power_moment2,
     hook_type_census,
     hooks_of,
     part_occurrence_census,
@@ -153,6 +157,62 @@ def test_hook_beta_sum_agrees_with_poly_eval():
         poly = hook_beta_sum_poly(n)
         for beta in [Fraction(0), Fraction(2), Fraction(25), Fraction(-3, 2)]:
             assert hook_beta_sum(n, beta) == poly.eval(beta)
+
+
+# Per-partition Fraction sums of hook statistics: the census-free oracle.
+
+def _stat_sum(n, stat):
+    return sum((stat(hooks_of(parts)) for parts in partition_tuples(n)),
+               Fraction(0))
+
+
+def _power_stat(hooks, alpha):
+    if alpha >= 0:
+        return Fraction(sum(h ** alpha for h in hooks))
+    return sum(Fraction(1, h ** -alpha) for h in hooks)
+
+
+def _pair_stat(hooks):
+    s1 = sum(Fraction(1, h * h) for h in hooks)
+    s2 = sum(Fraction(1, h ** 4) for h in hooks)
+    return (s1 * s1 - s2) / 2
+
+
+def _sq_stat(hooks):
+    s1 = sum(Fraction(1, h * h) for h in hooks)
+    return s1 * s1
+
+
+def test_census_matches_per_partition_hook_counts():
+    for n in range(13):
+        c1, c2 = hook_count_census(n)
+        counts = [[hooks_of(parts).count(h) for h in range(n + 1)]
+                  for parts in partition_tuples(n)]
+        assert list(c1) == [sum(c[h] for c in counts) for h in range(n + 1)]
+        assert all(c1[h] == k for h, k in hook_multiset_all(n).items())
+        for h in range(n + 1):
+            assert list(c2[h]) == [sum(c[h] * c[g] for c in counts)
+                                   for g in range(n + 1)]
+
+
+def test_census_dot_products_match_the_section_6_statistics():
+    for m in range(13):
+        for alpha in (-4, -2, -1, 0, 1, 2):
+            assert hook_power_moment(m, alpha) == _stat_sum(
+                m, lambda hooks: _power_stat(hooks, alpha))
+        pair = (hook_power_moment2(m, -2) - hook_power_moment(m, -4)) / 2
+        assert pair == _stat_sum(m, _pair_stat)
+        assert hook_power_moment2(m, -2) == _stat_sum(m, _sq_stat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 14), st.integers(-4, 4))
+def test_census_power_moments_at_random_alpha(m, alpha):
+    got = hook_power_moment(m, alpha)
+    assert type(got) is Fraction
+    assert got == _stat_sum(m, lambda hooks: _power_stat(hooks, alpha))
+    assert hook_power_moment2(m, alpha) == _stat_sum(
+        m, lambda hooks: _power_stat(hooks, alpha) ** 2)
 
 
 def test_partition_class_round_trips():
