@@ -1,11 +1,18 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
-(bad flags, malformed values, impossible requests).
+(bad flags, malformed values, impossible or too costly requests), and 141
+(128 + SIGPIPE, as a process killed by the signal reports) when the reader
+of stdout closes it early.
+
+`partitions` and `cores --method filter` enumerate every partition of n;
+they refuse an n with more than HOOKEXP_MAX_PARTITIONS partitions
+(default 10^6, about n = 60).
 """
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from math import factorial
@@ -33,8 +40,29 @@ from .tcore import (
 )
 
 
+MAX_PARTITIONS_ENV = "HOOKEXP_MAX_PARTITIONS"
+DEFAULT_MAX_PARTITIONS = 10 ** 6
+EXIT_BROKEN_PIPE = 141
+
+
 class UsageError(ValueError):
     pass
+
+
+def _guard_partition_count(n):
+    """Refuse an n whose partitions are too many to enumerate."""
+    raw = os.environ.get(MAX_PARTITIONS_ENV, "")
+    try:
+        limit = int(raw) if raw else DEFAULT_MAX_PARTITIONS
+    except ValueError:
+        raise UsageError("%s must be an integer, got %r"
+                         % (MAX_PARTITIONS_ENV, raw)) from None
+    count = partition_count(n)
+    if count > limit:
+        raise UsageError(
+            "--n %d has %d partitions, more than the %d this command may "
+            "enumerate (%s); for t-cores with odd t >= 3 use "
+            "`cores --method coding`" % (n, count, limit, MAX_PARTITIONS_ENV))
 
 
 def _plain_coeff(c):
@@ -153,6 +181,7 @@ def _cmd_partitions(args):
     t = args.t_core
     if t is not None and t < 1:
         raise UsageError("--t-core must be positive")
+    _guard_partition_count(args.n)
     for parts in partition_tuples(args.n):
         if t is not None and not is_t_core(parts, t):
             continue
@@ -163,6 +192,8 @@ def _cmd_partitions(args):
 def _cmd_cores(args):
     if args.n < 0:
         raise UsageError("--n must be non-negative")
+    if args.method == "filter":
+        _guard_partition_count(args.n)
     for core in enumerate_t_cores(args.n, args.t, method=args.method):
         print(",".join(map(str, core)))
     return 0
@@ -325,7 +356,17 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if not exc.code else int(exc.code)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early; point stdout at devnull so that the
+        # flush at interpreter exit does not raise again
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):
+            pass  # stdout is not a file descriptor (captured in-process)
+        return EXIT_BROKEN_PIPE
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -12,8 +12,9 @@ Fast paths work on plain tuples (`partition_tuples`, `hooks_of`, ...); the
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import factorial, lcm, prod
-from operator import mul
+from operator import ge, mul
 
 from .exactnum import BetaPoly
 
@@ -45,40 +46,45 @@ def enumerate_partitions(n):
         yield Partition(parts)
 
 
-@lru_cache(maxsize=None)
+_PARTITION_COUNTS = [1]  # p(0), p(1), ... as far as asked so far
+
+
 def partition_count(n):
-    """p(n) by the pentagonal-number recurrence (no enumeration)."""
+    """p(n) by the pentagonal-number recurrence (no enumeration).
+
+    The table grows bottom-up, so a large n needs no deep recursion.
+    """
     if n < 0:
         return 0
-    if n == 0:
-        return 1
-    total = 0
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > n and g2 > n:
-            break
-        sign = 1 if k % 2 else -1
-        if g1 <= n:
-            total += sign * partition_count(n - g1)
-        if g2 <= n:
-            total += sign * partition_count(n - g2)
-        k += 1
-    return total
+    table = _PARTITION_COUNTS
+    for m in range(len(table), n + 1):
+        total = 0
+        k = 1
+        while True:
+            g1 = k * (3 * k - 1) // 2
+            if g1 > m:
+                break
+            sign = 1 if k % 2 else -1
+            total += sign * table[m - g1]
+            if g1 + k <= m:
+                total += sign * table[m - g1 - k]
+            k += 1
+        table.append(total)
+    return table[n]
 
 
 # ---------------------------------------------------------------------------
 # diagram helpers on raw tuples
 
 def conjugate_of(parts):
-    """Conjugate partition (columns become rows)."""
-    if not parts:
-        return ()
-    out = [0] * parts[0]
-    for row in parts:
-        for j in range(row):
-            out[j] += 1
+    """Conjugate partition (columns become rows), in O(rows + cols).
+
+    Column j has i cells exactly when parts[i] <= j < parts[i - 1], so the
+    rows are read from the shortest up, each adding its new columns at once.
+    """
+    out = []
+    for i in range(len(parts), 0, -1):
+        out.extend([i] * (parts[i - 1] - len(out)))
     return tuple(out)
 
 
@@ -122,6 +128,12 @@ def b_stat_of(parts):
 
 def validate_partition(parts):
     parts = tuple(parts)
+    # fast path: all ints, weakly decreasing, the last (least) part positive
+    if (all(map(isinstance, parts, repeat(int)))
+            and all(map(ge, parts, parts[1:]))
+            and (not parts or parts[-1] >= 1)):
+        return parts
+    # otherwise find the first bad part, for the error message
     for i, row in enumerate(parts):
         if not isinstance(row, int) or row < 1:
             raise ValueError("parts must be positive integers: %r" % (parts,))

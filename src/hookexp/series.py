@@ -500,7 +500,9 @@ def revert_euler(order, method="lagrange"):
       [x^n] y = (1/n) * sum over partitions of n-1 of prod(1 + (n-1)/h^2).
     method="iterate" solves the fixed point y = x / prod(1 - y^m) by
     successive substitution over int coefficients, one extra correct order
-    per round.  Both return Fraction coefficients.
+    per round (round r works only to order r, the first order it can fix),
+    and then checks the fixed point at the full order.  Both return
+    Fraction coefficients.
     """
     if method == "lagrange":
         coeffs = [_ZERO]
@@ -515,12 +517,10 @@ def revert_euler(order, method="lagrange"):
         raise ValueError("method must be 'lagrange' or 'iterate'")
     # the coefficients are integers, so the iteration runs on ints
     pgf = Series([int(c) for c in partition_gf(order).coeffs])
-    y = Series.x(order, one=1)
-    for _ in range(order + 1):
-        nxt = pgf.compose(y).shift(1).truncate(order)
-        if nxt == y:
-            break
-        y = nxt
-    else:
+    y = Series.x(min(order, 1), one=1)  # right through x^1
+    for r in range(2, order + 1):
+        # y is right through x^(r-1), which fixes x * P(y) through x^r
+        y = pgf.truncate(r - 1).compose(y).shift(1)
+    if pgf.compose(y).shift(1).truncate(order) != y:
         raise RuntimeError("iteration did not settle")
     return y.map(Fraction)

@@ -20,14 +20,15 @@ each positive class downward in steps of t.  Weight and hook products are
 polynomial in the codings: see core_weight_from_v / core_product_from_v.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt
 
 from .partition import (
+    conjugate_of,
     first_column_hooks_of,
     hook_lists,
-    hooks_of,
     partition_tuples,
     validate_partition,
 )
@@ -51,10 +52,23 @@ def _require_coding_t(t):
 
 
 def is_t_core(parts, t):
-    """True when no hook length equals t (any integer t >= 1)."""
+    """True when no hook length equals t (any integer t >= 1).
+
+    The hook length arm + leg + 1 of cell (i, j) (0-based) is
+    row_i - j + conj_j - i - 1.  Along a row it strictly decreases, that is
+    j - conj_j strictly increases, so one bisection per row finds the only
+    cell of that row whose hook length can be t.
+    """
     if not isinstance(t, int) or t < 1:
         raise ValueError("t must be a positive integer")
-    return t not in hooks_of(_parts_of(parts))
+    parts = _parts_of(parts)
+    conj = conjugate_of(parts)
+    slope = [j - c for j, c in enumerate(conj)]
+    for i, row in enumerate(parts):
+        j = bisect_left(slope, row - i - 1 - t, 0, row)
+        if j < row and (row - j - 1) + (conj[j] - i - 1) + 1 == t:
+            return False
+    return True
 
 
 def validate_t_compact(elements, t):
@@ -277,6 +291,8 @@ def enumerate_t_cores(n, t, method="filter"):
     method="filter" scans all partitions of n; method="coding" (odd t >= 3
     only) enumerates zero-sum N-codings of weight n and decodes them.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if method == "filter":
         if not isinstance(t, int) or t < 1:
             raise ValueError("t must be a positive integer")
@@ -292,36 +308,59 @@ def enumerate_t_cores(n, t, method="filter"):
 
 
 def _codings_of_weight(n, t):
-    """All zero-sum N-codings with core weight exactly n."""
-    # Each coordinate contributes (t/2)m^2 + i*m >= (t/2)m^2 - (t-1)|m|,
-    # so |m| is bounded by the positive root of (t/2)m^2 - (t-1)m - n.
-    bound = ((t - 1) + isqrt((t - 1) ** 2 + 2 * t * n)) // t + 1
-    # doubled per-coordinate weight, and the least it can still add
-    twice = [[t * m * m + 2 * i * m for m in range(-bound, bound + 1)]
-             for i in range(t)]
-    least = [min(row) for row in twice]
-    tail_least = [0] * (t + 1)
-    for i in range(t - 1, -1, -1):
-        tail_least[i] = tail_least[i + 1] + least[i]
+    """All zero-sum N-codings with core weight exactly n, lexicographic.
+
+    The doubled weight is sum_j (t m_j^2 + 2j m_j).  When the coordinates
+    j = i..t-1 must sum to S, Cauchy-Schwarz on m_j + j/t bounds their part
+    below by (tS + J)^2 / (tk) - Q/t over the reals, with k = t - i,
+    J = sum j and Q = sum j^2.  Asking that the coordinates after i can still
+    place the weight left over is then a quadratic inequality in m_i, so each
+    level scans one integer interval; the last two coordinates solve a
+    quadratic equation.
+    """
+    # per level i < t - 2: k, and J', Q' of the k' = k - 1 coordinates after i
+    levels = []
+    for i in range(t - 2):
+        after = range(i + 1, t)
+        levels.append((t - i, sum(after), sum(j * j for j in after)))
+    last = t - 2
+    two_t = 2 * t
     out = []
     vec = [0] * t
 
-    def descend(i, rsum, acc):
-        if i == t - 1:
-            m = -rsum
-            if abs(m) > bound:
+    def descend(i, S, R):
+        # coordinates i.. must sum to S and add R to the doubled weight
+        if i == last:
+            # m_{t-2} = x, m_{t-1} = S - x:
+            # 2t x^2 - 2(tS + 1) x + (tS^2 + 2(t - 1)S - R) = 0
+            b = t * S + 1
+            disc = b * b - two_t * (t * S * S + 2 * (t - 1) * S - R)
+            if disc < 0:
                 return
-            if acc + t * m * m + 2 * i * m == 2 * n:
-                vec[i] = m
-                out.append(tuple(vec))
+            r = isqrt(disc)
+            if r * r != disc:
+                return
+            for num in ((b - r, b + r) if r else (b,)):
+                x, rem = divmod(num, two_t)
+                if not rem:
+                    vec[last] = x
+                    vec[last + 1] = S - x
+                    out.append(tuple(vec))
             return
-        row = twice[i]
-        for k in range(2 * bound + 1):
-            nacc = acc + row[k]
-            if nacc + tail_least[i + 1] > 2 * n:
-                continue
-            vec[i] = k - bound
-            descend(i + 1, rsum + k - bound, nacc)
+        k, jp, qp = levels[i]
+        kp = k - 1
+        # t k' (R - t m^2 - 2i m) >= (t(S - m) + J')^2 - k' Q', that is
+        # -t^2 k m^2 + 2t B m + C >= 0, roots (B -+ sqrt(B^2 + kC)) / (tk)
+        ts = t * S
+        B = ts + jp - kp * i
+        D = B * B + k * (t * kp * R + kp * qp - (ts + jp) ** 2)
+        if D < 0:
+            return
+        r = isqrt(D)
+        tk = t * k
+        for m in range(-((r - B) // tk), (B + r) // tk + 1):
+            vec[i] = m
+            descend(i + 1, S - m, R - t * m * m - 2 * i * m)
 
-    descend(0, 0, 0)
+    descend(0, 0, 2 * n)
     return out

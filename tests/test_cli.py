@@ -274,3 +274,60 @@ def test_cores_coding_round_trip_checks_survive_python_O():
     assert bad.returncode != 0
     assert "ArithmeticError" in bad.stderr and "round-trip" in bad.stderr
     assert bad.stdout == ""
+
+
+def test_closed_pipe_ends_quietly():
+    import subprocess
+    import sys
+    # far more output than a pipe buffers, so writes fail once it is closed
+    proc = subprocess.Popen([sys.executable, "-m", "hookexp.cli", "partitions",
+                             "--n", "40"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert first == b"40\n"
+    assert err == b""
+
+
+def test_enumerating_commands_refuse_too_many_partitions(monkeypatch):
+    monkeypatch.setenv("HOOKEXP_MAX_PARTITIONS", "11")  # p(6) = 11, p(7) = 15
+    assert run_cli("partitions", "--n", "6")[0] == 0
+    assert run_cli("cores", "--n", "6", "--t", "3")[0] == 0
+    for argv in (("partitions", "--n", "7"),
+                 ("partitions", "--n", "7", "--t-core", "3"),
+                 ("cores", "--n", "7", "--t", "3"),
+                 ("cores", "--n", "2000", "--t", "5", "--method", "filter")):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, ""), argv
+        assert "--n" in err and "--method coding" in err
+    # the coding search enumerates no partitions, so the limit leaves it be
+    code, out, _ = run_cli("cores", "--n", "8", "--t", "3", "--method", "coding")
+    assert (code, out) == (0, "4,2,1,1\n")
+    monkeypatch.setenv("HOOKEXP_MAX_PARTITIONS", "many")
+    code, _, err = run_cli("partitions", "--n", "3")
+    assert code == 2 and "HOOKEXP_MAX_PARTITIONS" in err
+
+
+def test_cores_decode_checks_survive_python_O():
+    import subprocess
+    import sys
+    argv = ["cores", "--n", "12", "--t", "5", "--method", "coding"]
+    patches = {
+        # the decoded diagram is checked for a hook of length t
+        "T.is_t_core = lambda p, t: False":
+            ("ArithmeticError", "must be a t-core"),
+        # a repeated first-column hook decodes to increasing parts
+        "orig = T.u_from_v; T.u_from_v = lambda v, t: orig(v, t) + (max(orig(v, t)),)":
+            ("error: parts must be weakly decreasing", ""),
+    }
+    for patch, (kind, what) in patches.items():
+        code = ("import sys, hookexp.tcore as T; from hookexp.cli import main; "
+                "%s; sys.exit(main(%r))" % (patch, argv))
+        bad = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True)
+        assert bad.returncode != 0, patch
+        assert kind in bad.stderr and what in bad.stderr, bad.stderr
+        assert bad.stdout == ""

@@ -77,6 +77,61 @@ def test_validate_partition_rejects_bad_input():
             validate_partition(bad)
 
 
+def test_partition_count_needs_no_deep_recursion():
+    assert partition_count(1000) == 24061467864032622473692149727991
+    assert partition_count(-1) == 0
+
+
+def test_conjugate_against_a_cell_count():
+    for n in range(15):
+        for parts in partition_tuples(n):
+            cols = parts[0] if parts else 0
+            want = tuple(sum(1 for row in parts if row > j) for j in range(cols))
+            assert conjugate_of(parts) == want
+
+
+def _validate_by_loop(parts):
+    # the part-by-part check with its messages, as an oracle
+    parts = tuple(parts)
+    for i, row in enumerate(parts):
+        if not isinstance(row, int) or row < 1:
+            raise ValueError("parts must be positive integers: %r" % (parts,))
+        if i and parts[i - 1] < row:
+            raise ValueError("parts must be weakly decreasing: %r" % (parts,))
+    return parts
+
+
+def _outcome(fn, parts):
+    try:
+        return "ok", fn(parts)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+_PART = st.one_of(st.integers(-3, 7), st.integers(-3, 7),
+                  st.just(2.0), st.just("2"), st.just(None))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PART, max_size=7))
+def test_validate_partition_messages_match_the_loop(parts):
+    assert _outcome(validate_partition, parts) == _outcome(_validate_by_loop, parts)
+
+
+def test_validate_partition_messages_on_known_bad_tuples():
+    cases = {
+        (3, 0): "parts must be positive integers: (3, 0)",
+        (2, -1): "parts must be positive integers: (2, -1)",
+        (1, 2): "parts must be weakly decreasing: (1, 2)",
+        (2, 1.0): "parts must be positive integers: (2, 1.0)",
+        (3, 4, 0): "parts must be weakly decreasing: (3, 4, 0)",
+    }
+    for bad, message in cases.items():
+        with pytest.raises(ValueError) as info:
+            validate_partition(bad)
+        assert str(info.value) == message
+
+
 def _syt_recurrence(parts, cache={(): 1}):
     # remove a corner cell in every possible way; independent of hooks
     parts = tuple(parts)

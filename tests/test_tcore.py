@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from hookexp.partition import hook_eval_product, partition_tuples
+from hookexp.partition import hook_eval_product, hooks_of, partition_tuples
 from hookexp.tcore import (
     HSet,
+    _codings_of_weight,
     core_from_v,
     core_product_from_v,
     core_weight_from_n,
@@ -23,6 +25,14 @@ from hookexp.tcore import (
 
 # the worked 5-core used throughout: weight 54
 CORE54 = (14, 10, 6, 6, 4, 4, 4, 2, 2, 2)
+
+
+def test_is_t_core_against_all_hooks():
+    for n in range(15):
+        for parts in partition_tuples(n):
+            hooks = hooks_of(parts)
+            for t in range(1, n + 2):
+                assert is_t_core(parts, t) == (t not in hooks), (parts, t)
 
 
 def test_is_t_core_basic():
@@ -109,11 +119,69 @@ def test_five_cores_of_five():
 
 
 def test_filter_and_coding_enumerations_agree():
-    for t in (3, 5, 7):
-        for n in range(14):
+    for t in (3, 5, 7, 9, 11, 13):
+        for n in range(17):
             a = enumerate_t_cores(n, t, method="filter")
             b = enumerate_t_cores(n, t, method="coding")
             assert a == b
+
+
+def test_five_core_counts_to_300_match_the_eta_quotient():
+    # #5-cores of n = [x^n] prod (1-x^{5m})^5 / (1-x^m), in integers
+    N = 300
+    ser = [1] + [0] * N
+    for m in range(5, N + 1, 5):  # times (1 - x^m)^5
+        for _ in range(5):
+            for i in range(N, m - 1, -1):
+                ser[i] -= ser[i - m]
+    for m in range(1, N + 1):  # divided by (1 - x^m)
+        for i in range(m, N + 1):
+            ser[i] += ser[i - m]
+    for n in range(N + 1):
+        assert len(_codings_of_weight(n, 5)) == ser[n], n
+    for n in (0, 1, 2, 151, 299, 300):  # decoding keeps every coding
+        assert len(enumerate_t_cores(n, 5, method="coding")) == ser[n], n
+
+
+def _codings_by_scan(n, t):
+    # every coordinate over one box |m| <= bound, pruned by a per-coordinate
+    # least weight that ignores the zero sum: the search before the
+    # Cauchy-Schwarz bound, kept as an oracle
+    bound = ((t - 1) + isqrt((t - 1) ** 2 + 2 * t * n)) // t + 1
+    twice = [[t * m * m + 2 * i * m for m in range(-bound, bound + 1)]
+             for i in range(t)]
+    tail_least = [0] * (t + 1)
+    for i in range(t - 1, -1, -1):
+        tail_least[i] = tail_least[i + 1] + min(twice[i])
+    out = []
+    vec = [0] * t
+
+    def descend(i, rsum, acc):
+        if i == t - 1:
+            m = -rsum
+            if abs(m) <= bound and acc + t * m * m + 2 * i * m == 2 * n:
+                vec[i] = m
+                out.append(tuple(vec))
+            return
+        for k, w in enumerate(twice[i]):
+            if acc + w + tail_least[i + 1] <= 2 * n:
+                vec[i] = k - bound
+                descend(i + 1, rsum + k - bound, acc + w)
+
+    descend(0, 0, 0)
+    return out
+
+
+def test_coding_search_matches_the_box_scan():
+    for t, top in ((3, 120), (5, 60), (7, 30), (9, 16), (11, 10)):
+        for n in range(top):
+            assert _codings_of_weight(n, t) == _codings_by_scan(n, t), (n, t)
+
+
+def test_enumerate_rejects_negative_n():
+    for method in ("filter", "coding"):
+        with pytest.raises(ValueError):
+            enumerate_t_cores(-1, 5, method=method)
 
 
 def test_enumerate_rejects_unknown_method():
