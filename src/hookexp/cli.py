@@ -124,8 +124,9 @@ def _print_report(report):
 
 def _cmd_verify(args):
     if args.all:
-        if args.id:
-            raise UsageError("--all cannot be combined with --id")
+        for flag in ("id", "t", "n"):
+            if getattr(args, flag) is not None:
+                raise UsageError("--all cannot be combined with --%s" % flag)
         if args.order is not None and args.order < 0:
             raise UsageError("--order must be at least 0 with --all")
         reports = verify_all(order_budget=args.order)

@@ -10,6 +10,8 @@ rationals.  No floats anywhere.
 import json
 import re
 from fractions import Fraction
+from itertools import combinations
+from math import factorial, prod
 
 Rational = Fraction
 
@@ -29,6 +31,16 @@ def parse_rational(text):
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError("zero denominator: %r" % (text,)) from None
+
+
+def diff_product(vec):
+    """prod over i < j of (vec[i] - vec[j]), exactly."""
+    return prod(a - b for a, b in combinations(vec, 2))
+
+
+def superfactorial(k):
+    """1! 2! ... k! (1 for k = 0)."""
+    return prod(map(factorial, range(1, k + 1)))
 
 
 def format_rational(value):

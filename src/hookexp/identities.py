@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .exactnum import BetaPoly, serialize_scalar
+from .exactnum import BetaPoly, diff_product, serialize_scalar
 from .partition import (
     b_stat_of,
     contents_of,
@@ -314,19 +314,23 @@ def _t_tuple(t):
     return (t,) if isinstance(t, int) else tuple(t)
 
 
+def _t_cores(t, n, start=0):
+    """Yield (t, m, core, label) for every t-core of m = start..n, each t."""
+    for tt in _t_tuple(t):
+        for m in range(start, n + 1):
+            for core in enumerate_t_cores(m, tt):
+                yield tt, m, core, "t=%d core=%s" % (tt, ",".join(map(str, core)))
+
+
 @_register("gks-weight",
            "t-core weight from its region vector",
            {"n": 25, "t": (3, 5, 7)}, {"n": 0}, ("n",))
 def _check_gks_weight(n, t):
-    ts = _t_tuple(t)
-    rng = "all t-cores of n=0..%d, t in %s" % (n, list(ts))
-    for tt in ts:
-        for m in range(n + 1):
-            for core in enumerate_t_cores(m, tt):
-                w = core_weight_from_n(n_coding(core, tt), tt)
-                if w != m:
-                    return False, rng, _mm("t=%d core=%s" % (tt, ",".join(map(str, core))),
-                                           Fraction(w), Fraction(m))
+    rng = "all t-cores of n=0..%d, t in %s" % (n, list(_t_tuple(t)))
+    for tt, m, core, at in _t_cores(t, n):
+        w = core_weight_from_n(n_coding(core, tt), tt)
+        if w != m:
+            return False, rng, _mm(at, Fraction(w), Fraction(m))
     return True, rng, None
 
 
@@ -334,21 +338,16 @@ def _check_gks_weight(n, t):
            "zero-sum coding: weight and difference-product formulas",
            {"n": 25, "t": (3, 5, 7)}, {"n": 0}, ("n",))
 def _check_phi_v_theorem(n, t):
-    ts = _t_tuple(t)
-    rng = "all t-cores of n=0..%d, t in %s" % (n, list(ts))
-    for tt in ts:
-        for m in range(n + 1):
-            for core in enumerate_t_cores(m, tt):
-                v = v_coding(core, tt)
-                w = core_weight_from_v(v, tt)
-                if w != m:
-                    return False, rng, _mm("t=%d core=%s weight" % (tt, ",".join(map(str, core))),
-                                           Fraction(w), Fraction(m))
-                pa = core_product_from_v(v, tt)
-                pb = hook_eval_product(core, tt * tt)
-                if pa != pb:
-                    return False, rng, _mm("t=%d core=%s product" % (tt, ",".join(map(str, core))),
-                                           pa, pb)
+    rng = "all t-cores of n=0..%d, t in %s" % (n, list(_t_tuple(t)))
+    for tt, m, core, at in _t_cores(t, n):
+        v = v_coding(core, tt)
+        w = core_weight_from_v(v, tt)
+        if w != m:
+            return False, rng, _mm(at + " weight", Fraction(w), Fraction(m))
+        pa = core_product_from_v(v, tt)
+        pb = hook_eval_product(core, tt * tt)
+        if pa != pb:
+            return False, rng, _mm(at + " product", pa, pb)
     return True, rng, None
 
 
@@ -356,55 +355,39 @@ def _check_phi_v_theorem(n, t):
            "positive-hook product via residue-maximal elements",
            {"n": 25, "t": (3, 5, 7)}, {"n": 0}, ("n",))
 def _check_lemma_5_5(n, t):
-    ts = _t_tuple(t)
-    rng = "all t-cores of n=0..%d, t in %s" % (n, list(ts))
-    for tt in ts:
+    rng = "all t-cores of n=0..%d, t in %s" % (n, list(_t_tuple(t)))
+    for tt, m, core, at in _t_cores(t, n):
         t2 = Fraction(tt * tt)
-        for m in range(n + 1):
-            for core in enumerate_t_cores(m, tt):
-                lhs = Fraction(1)
-                for a in h_set(core, tt).elements:
-                    if a > 0:
-                        lhs *= 1 - t2 / (a * a)
-                rhs = Fraction(1)
-                for u in u_coding(core, tt)[1:]:
-                    rhs *= Fraction(u + tt, u)
-                if lhs != rhs:
-                    return False, rng, _mm("t=%d core=%s" % (tt, ",".join(map(str, core))),
-                                           lhs, rhs)
+        lhs = Fraction(1)
+        for a in h_set(core, tt).elements:
+            if a > 0:
+                lhs *= 1 - t2 / (a * a)
+        rhs = Fraction(1)
+        for u in u_coding(core, tt)[1:]:
+            rhs *= Fraction(u + tt, u)
+        if lhs != rhs:
+            return False, rng, _mm(at, lhs, rhs)
     return True, rng, None
-
-
-def _diff_prod(vec):
-    out = 1
-    for i in range(len(vec)):
-        for j in range(i + 1, len(vec)):
-            out *= vec[i] - vec[j]
-    return out
 
 
 @_register("lemma-5-6",
            "difference-product ratio under erasure of the first column",
            {"n": 25, "t": (3, 5, 7)}, {"n": 0}, ("n",))
 def _check_lemma_5_6(n, t):
-    ts = _t_tuple(t)
-    rng = "all non-empty t-cores of n=0..%d, t in %s" % (n, list(ts))
-    for tt in ts:
-        for m in range(1, n + 1):
-            for core in enumerate_t_cores(m, tt):
-                erased = tuple(x - 1 for x in core if x > 1)
-                if not is_t_core(erased, tt):
-                    return False, rng, _mm("t=%d core=%s erased" % (tt, ",".join(map(str, core))),
-                                           ",".join(map(str, erased)), "a t-core")
-                u = u_coding(core, tt)
-                u2 = u_coding(erased, tt)
-                lhs = Fraction(_diff_prod(u), _diff_prod(u2))
-                rhs = Fraction(1)
-                for uj in u[1:]:
-                    rhs *= Fraction(uj + tt, uj)
-                if lhs != rhs:
-                    return False, rng, _mm("t=%d core=%s" % (tt, ",".join(map(str, core))),
-                                           lhs, rhs)
+    rng = "all non-empty t-cores of n=0..%d, t in %s" % (n, list(_t_tuple(t)))
+    for tt, m, core, at in _t_cores(t, n, start=1):
+        erased = tuple(x - 1 for x in core if x > 1)
+        if not is_t_core(erased, tt):
+            return False, rng, _mm(at + " erased", ",".join(map(str, erased)),
+                                   "a t-core")
+        u = u_coding(core, tt)
+        u2 = u_coding(erased, tt)
+        lhs = Fraction(diff_product(u), diff_product(u2))
+        rhs = Fraction(1)
+        for uj in u[1:]:
+            rhs *= Fraction(uj + tt, uj)
+        if lhs != rhs:
+            return False, rng, _mm(at, lhs, rhs)
     return True, rng, None
 
 
@@ -542,59 +525,57 @@ def _check_thm_6_9(N):
     return True, rng, None
 
 
+def _hook_moment(m, k):
+    """sum over partitions of m of f_lambda^2 e_k(h^2), in integers; the
+    elementary symmetric e_k of the squared hooks is built hook by hook."""
+    total = 0
+    for parts, hooks in zip(partition_tuples(m), hook_lists(m)):
+        e = [1] + [0] * k
+        for h in hooks:
+            h2 = h * h
+            for j in range(k, 0, -1):
+                e[j] += h2 * e[j - 1]
+        f = syt_count_of(parts)
+        total += f * f * e[k]
+    return total
+
+
+def _moment_closed_form(n, k, closed):
+    """Compare _hook_moment(m, k) with the closed form closed(m), m <= n."""
+    rng = "n=0..%d" % n
+    for m in range(n + 1):
+        lhs = _hook_moment(m, k)
+        rhs = closed(m)
+        if lhs != rhs:
+            return False, rng, _mm("n=%d" % m, Fraction(lhs), Fraction(rhs))
+    return True, rng, None
+
+
 @_register("marked-hook",
            "tableau-squared-weighted sum of squared hooks, closed form",
            {"n": 10}, {"n": 0}, ("n",))
 def _check_marked_hook(n):
-    rng = "n=0..%d" % n
-    for m in range(n + 1):
-        lhs = 0
-        for parts, hooks in zip(partition_tuples(m), hook_lists(m)):
-            f = syt_count_of(parts)
-            lhs += f * f * sum(h * h for h in hooks)
-        rhs = m * (3 * m - 1) // 2 * factorial(m)
-        if lhs != rhs:
-            return False, rng, _mm("n=%d" % m, Fraction(lhs), Fraction(rhs))
-    return True, rng, None
+    return _moment_closed_form(
+        n, 1, lambda m: m * (3 * m - 1) // 2 * factorial(m))
 
 
 @_register("prop-6-11",
            "tableau-squared-weighted pairs of squared hooks, closed form",
            {"n": 8}, {"n": 0}, ("n",))
 def _check_prop_6_11(n):
-    rng = "n=0..%d" % n
-    for m in range(n + 1):
-        lhs = 0
-        for parts, hooks in zip(partition_tuples(m), hook_lists(m)):
-            f = syt_count_of(parts)
-            s1 = sum(h * h for h in hooks)
-            s2 = sum(h ** 4 for h in hooks)
-            lhs += f * f * (s1 * s1 - s2) // 2
-        rhs = Fraction(m * (m - 1) * (27 * m * m - 67 * m + 74), 24) * factorial(m)
-        if lhs != rhs:
-            return False, rng, _mm("n=%d" % m, Fraction(lhs), rhs)
-    return True, rng, None
+    return _moment_closed_form(
+        n, 2, lambda m: Fraction(m * (m - 1) * (27 * m * m - 67 * m + 74), 24)
+        * factorial(m))
 
 
 @_register("prop-6-12",
            "tableau-squared-weighted triples of squared hooks, closed form",
            {"n": 8}, {"n": 2}, ("n",))
 def _check_prop_6_12(n):
-    rng = "n=0..%d" % n
-    for m in range(n + 1):
-        lhs = 0
-        for parts, hooks in zip(partition_tuples(m), hook_lists(m)):
-            f = syt_count_of(parts)
-            s1 = sum(h * h for h in hooks)
-            s2 = sum(h ** 4 for h in hooks)
-            s3 = sum(h ** 6 for h in hooks)
-            lhs += f * f * (s1 ** 3 - 3 * s1 * s2 + 2 * s3) // 6
-        rhs = Fraction(m * (m - 1) * (m - 2)
-                       * (27 * m ** 3 - 174 * m ** 2 + 511 * m - 600),
-                       48) * factorial(m)
-        if lhs != rhs:
-            return False, rng, _mm("n=%d" % m, Fraction(lhs), rhs)
-    return True, rng, None
+    return _moment_closed_form(
+        n, 3, lambda m: Fraction(m * (m - 1) * (m - 2)
+                                 * (27 * m ** 3 - 174 * m ** 2 + 511 * m - 600),
+                                 48) * factorial(m))
 
 
 @_register("kostant-poly",
@@ -860,7 +841,11 @@ def verify_all(order_budget=None, workers=None):
     (default 1) unless given explicitly; results do not depend on it.
     """
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
+        raw = os.environ.get(WORKERS_ENV, "") or "1"
+        if not raw.strip().isdigit() or int(raw) < 1:
+            raise ValueError("%s must be a positive integer, got %r"
+                             % (WORKERS_ENV, raw))
+        workers = int(raw)
     tasks = [(cid, budget_params(REGISTRY[cid], order_budget))
              for cid in sorted(REGISTRY)]
     if workers > 1:

@@ -155,21 +155,28 @@ def syt_count_of(parts):
     return f
 
 
+def _hook_poly(hooks):
+    """Int coefficients of prod(h^2 - beta), lowest degree first, and
+    the hook product prod h."""
+    poly = [1]
+    ph = 1
+    for h in hooks:
+        h2 = h * h
+        ph *= h
+        poly.append(-poly[-1])
+        for i in range(len(poly) - 2, 0, -1):
+            poly[i] = h2 * poly[i] - poly[i - 1]
+        poly[0] = h2 * poly[0]
+    return poly, ph
+
+
 def hook_beta_poly_of(parts):
     """prod over cells of (1 - beta/h^2), as a BetaPoly in beta.
 
     Computed as prod(h^2 - beta) over prod(h^2), all in integer arithmetic.
     """
-    hooks = hooks_of(parts)
-    poly = [1]
-    den = 1
-    for h in hooks:
-        h2 = h * h
-        den *= h2
-        poly.append(-poly[-1])
-        for i in range(len(poly) - 2, 0, -1):
-            poly[i] = h2 * poly[i] - poly[i - 1]
-        poly[0] = h2 * poly[0]
+    poly, ph = _hook_poly(hooks_of(parts))
+    den = ph * ph
     return BetaPoly([Fraction(c, den) for c in poly])
 
 
@@ -230,15 +237,7 @@ def hook_beta_sum_poly(n):
     fact = factorial(n)
     acc = [0] * (n + 1)
     for hooks, mult in conjugate_reps(n):
-        poly = [1]
-        ph = 1
-        for h in hooks:
-            h2 = h * h
-            ph *= h
-            poly.append(-poly[-1])
-            for i in range(len(poly) - 2, 0, -1):
-                poly[i] = h2 * poly[i] - poly[i - 1]
-            poly[0] = h2 * poly[0]
+        poly, ph = _hook_poly(hooks)
         f = fact // ph
         w = mult * f * f
         for i, c in enumerate(poly):
@@ -427,20 +426,8 @@ class Partition:
     def hooks(self):
         return hooks_of(self.parts)
 
-    def hook_multiset(self):
-        return Counter(hooks_of(self.parts))
-
-    def first_column_hooks(self):
-        return first_column_hooks_of(self.parts)
-
     def b_stat(self):
         return b_stat_of(self.parts)
-
-    def syt_count(self):
-        return syt_count_of(self.parts)
-
-    def hook_beta_poly(self):
-        return hook_beta_poly_of(self.parts)
 
     def hook_eval(self, beta):
         return hook_eval_product(self.parts, beta)

@@ -14,13 +14,12 @@ route to eta powers, and compositional reversion of x * (Euler product).
 from fractions import Fraction
 from math import factorial, isqrt, perm
 
-from .exactnum import BetaPoly
+from .exactnum import BetaPoly, diff_product, superfactorial
 from .partition import (
     b_stat_of,
     contents_of,
     hook_beta_sum,
     hooks_of,
-    partition_tuples,
 )
 
 _ZERO = Fraction(0)
@@ -429,11 +428,7 @@ def macdonald_eta_power(t, order):
             w, r = divmod(num, 24 * t)
             if r or w > order:
                 return
-            prodd = 1
-            for a in range(t):
-                for b in range(a + 1, t):
-                    prodd *= vec[a] - vec[b]
-            acc[w] += prodd
+            acc[w] += diff_product(vec)
             return
         v = i - t * ((vmax + i) // t)  # smallest value = i mod t with |v| <= vmax
         while v <= vmax:
@@ -443,13 +438,8 @@ def macdonald_eta_power(t, order):
             v += t
 
     descend(0, 0, 0)
-    tp = (t - 1) // 2
-    den = 1
-    run = 1
-    for i in range(1, t):
-        run *= i
-        den *= run
-    sign = (-1) ** tp
+    den = superfactorial(t - 1)
+    sign = (-1) ** ((t - 1) // 2)
     out = []
     for a in acc:
         c = Fraction(sign * a, den)

@@ -23,8 +23,9 @@ polynomial in the codings: see core_weight_from_v / core_product_from_v.
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isqrt
+from math import isqrt
 
+from .exactnum import diff_product, superfactorial
 from .partition import (
     conjugate_of,
     first_column_hooks_of,
@@ -32,12 +33,6 @@ from .partition import (
     partition_tuples,
     validate_partition,
 )
-
-
-def _parts_of(obj):
-    """Accept a Partition, tuple or list; return a validated tuple."""
-    parts = tuple(obj)
-    return validate_partition(parts)
 
 
 def _invariant(ok, what):
@@ -61,7 +56,7 @@ def is_t_core(parts, t):
     """
     if not isinstance(t, int) or t < 1:
         raise ValueError("t must be a positive integer")
-    parts = _parts_of(parts)
+    parts = validate_partition(parts)
     conj = conjugate_of(parts)
     slope = [j - c for j, c in enumerate(conj)]
     for i, row in enumerate(parts):
@@ -105,15 +100,23 @@ class HSet:
         return tuple(sorted(self.elements, reverse=True))
 
 
-def h_set(parts, t):
-    """HSet of a t-core: first-column hooks together with -1..-t."""
+def _checked_core(parts, t):
+    """The validated parts of a t-core, for an odd t >= 3."""
     _require_coding_t(t)
-    parts = _parts_of(parts)
+    parts = validate_partition(parts)
     if not is_t_core(parts, t):
         raise ValueError("%r is not a %d-core" % (parts, t))
-    elems = set(first_column_hooks_of(parts))
-    elems.update(range(-t, 0))
-    return HSet(t, frozenset(elems))
+    return parts
+
+
+def _h_elements(parts, t):
+    """First-column hooks of a checked t-core together with -1..-t."""
+    return frozenset(first_column_hooks_of(parts)).union(range(-t, 0))
+
+
+def h_set(parts, t):
+    """HSet of a t-core: first-column hooks together with -1..-t."""
+    return HSet(t, _h_elements(_checked_core(parts, t), t))
 
 
 def max_by_residue(elements, t):
@@ -126,22 +129,21 @@ def max_by_residue(elements, t):
     return best
 
 
-def u_coding(parts, t):
-    """U-coding (u_0, ..., u_{t-1}), u_i = i mod t, u_0 = -t."""
-    hs = h_set(parts, t)
-    best = max_by_residue(hs.elements, t)
+def _u_of(parts, t):
+    """U-coding of a checked t-core, from its extended hook set."""
+    best = max_by_residue(_h_elements(parts, t), t)
     u = tuple(best[i] for i in range(t))
     _invariant(u[0] == -t, "u_0 must be -t")
     return u
 
 
-def v_coding(parts, t):
-    """Zero-sum V-coding, listed by residue (v_i = i mod t)."""
-    u = u_coding(parts, t)
+def _v_of(parts, t):
+    """V-coding of a checked t-core, from its U-coding."""
+    u = _u_of(parts, t)
     shift, rem = divmod(sum(u), t)
     _invariant(rem == 0, "U-coding sum must be divisible by t")
     # the shift is determined by the length and t alone
-    _invariant(shift == len(_parts_of(parts)) - (t - 1) // 2 - 1,
+    _invariant(shift == len(parts) - (t - 1) // 2 - 1,
                "V-coding shift must follow from the length")
     shifted = [x - shift for x in u]
     v = [None] * t
@@ -154,18 +156,25 @@ def v_coding(parts, t):
     return v
 
 
+def u_coding(parts, t):
+    """U-coding (u_0, ..., u_{t-1}), u_i = i mod t, u_0 = -t."""
+    return _u_of(_checked_core(parts, t), t)
+
+
+def v_coding(parts, t):
+    """Zero-sum V-coding, listed by residue (v_i = i mod t)."""
+    return _v_of(_checked_core(parts, t), t)
+
+
 def n_coding(parts, t):
-    """Zero-sum N-coding derived from the extended hook set."""
-    hs = h_set(parts, t)
-    length = len(_parts_of(parts))
-    best = {}
-    for e in hs.elements:
-        d = e - length
-        r = d % t
-        reg = d // t + 1
-        if r not in best or reg > best[r]:
-            best[r] = reg
-    n = tuple(best[i] for i in range(t))
+    """Zero-sum N-coding: n_i = floor((e - l)/t) + 1 for the largest e in H
+    with e - l = i mod t, l rows; that e is an entry of the U-coding."""
+    parts = _checked_core(parts, t)
+    n = [None] * t
+    for e in _u_of(parts, t):
+        d = e - len(parts)
+        n[d % t] = d // t + 1
+    n = tuple(n)
     _invariant(sum(n) == 0, "N-coding must sum to zero")
     return n
 
@@ -188,7 +197,6 @@ def v_from_n(nvec, t):
 
 def n_from_v(vvec, t):
     """Inverse of v_from_n."""
-    _require_coding_t(t)
     _validate_v(vvec, t)
     tp = (t - 1) // 2
     n = [None] * t
@@ -202,6 +210,7 @@ def n_from_v(vvec, t):
 
 
 def _validate_v(vvec, t):
+    _require_coding_t(t)
     if len(vvec) != t or sum(vvec) != 0:
         raise ValueError("V-coding must have t entries summing to zero")
     for i, v in enumerate(vvec):
@@ -211,7 +220,6 @@ def _validate_v(vvec, t):
 
 def u_from_v(vvec, t):
     """Recover the U-coding from a V-coding (shift back by -t - min V)."""
-    _require_coding_t(t)
     _validate_v(vvec, t)
     shift = -t - min(vvec)
     u = [None] * t
@@ -224,26 +232,24 @@ def u_from_v(vvec, t):
 
 
 def core_from_v(vvec, t):
-    """Decode a V-coding back to its t-core (as a plain tuple of parts)."""
+    """Decode a V-coding back to its t-core (as a plain tuple of parts);
+    validate it, check it for hooks of length t and re-encode it, once each."""
     u = u_from_v(vvec, t)
     hooks = []
     for x in u:
-        while x > 0:
-            hooks.append(x)
-            x -= t
+        hooks.extend(range(x, 0, -t))  # each class closed downward
     hooks.sort(reverse=True)
     length = len(hooks)
     parts = tuple(h - length + i for i, h in enumerate(hooks, start=1))
     parts = validate_partition(parts)
     _invariant(is_t_core(parts, t), "decoded partition must be a t-core")
-    _invariant(v_coding(parts, t) == tuple(vvec),
+    _invariant(_v_of(parts, t) == tuple(vvec),
                "decoded core must round-trip to its V-coding")
     return parts
 
 
 def core_weight_from_v(vvec, t):
     """Weight of the coded core: sum(v^2)/(2t) - (t^2 - 1)/24, exactly."""
-    _require_coding_t(t)
     _validate_v(vvec, t)
     sq = sum(v * v for v in vvec)
     num = 12 * sq - t * (t * t - 1)
@@ -269,17 +275,9 @@ def core_product_from_v(vvec, t):
 
     (-1)^((t-1)/2) / (1! 2! ... (t-1)!) times prod_{i<j} (v_i - v_j).
     """
-    _require_coding_t(t)
     _validate_v(vvec, t)
-    tp = (t - 1) // 2
-    num = 1
-    for i in range(t):
-        for j in range(i + 1, t):
-            num *= vvec[i] - vvec[j]
-    den = 1
-    for i in range(1, t):
-        den *= factorial(i)
-    return Fraction((-1) ** tp * num, den)
+    return Fraction((-1) ** ((t - 1) // 2) * diff_product(vvec),
+                    superfactorial(t - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,21 @@ def test_verify_usage_errors():
     assert run_cli("verify", "--id", "main-identity", "--all")[0] == 2
 
 
+def test_verify_all_refuses_flags_it_would_ignore():
+    for flag in ("--t", "--n"):
+        code, out, err = run_cli("verify", "--all", flag, "5")
+        assert (code, out) == (2, ""), flag
+        assert flag in err and "--all" in err
+
+
+def test_malformed_worker_count_is_a_usage_error(monkeypatch):
+    for raw in ("x", "0", "-2", "1.5"):
+        monkeypatch.setenv("HOOKEXP_WORKERS", raw)
+        code, out, err = run_cli("verify", "--all", "--order", "0")
+        assert (code, out) == (2, ""), raw
+        assert "HOOKEXP_WORKERS" in err and repr(raw) in err
+
+
 def test_verify_rejects_order_below_minimum():
     code, out, err = run_cli("verify", "--all", "--order", "-3")
     assert (code, out) == (2, "")
@@ -264,10 +279,10 @@ def test_cores_coding_round_trip_checks_survive_python_O():
                          capture_output=True, text=True)
     assert plain.returncode == opt.returncode == 0
     assert opt.stdout == plain.stdout and plain.stdout
-    # break the V-coding that core_from_v round-trips through
+    # break the V-coding encoder that core_from_v round-trips through
     patched = ("import sys, hookexp.tcore as T; from hookexp.cli import main; "
-               "orig = T.v_coding; "
-               "T.v_coding = lambda p, t: tuple(reversed(orig(p, t))); "
+               "orig = T._v_of; "
+               "T._v_of = lambda p, t: tuple(reversed(orig(p, t))); "
                "sys.exit(main(%r))" % (argv,))
     bad = subprocess.run([sys.executable, "-O", "-c", patched],
                          capture_output=True, text=True)

@@ -6,9 +6,11 @@ from hypothesis import given, strategies as st
 
 from hookexp.exactnum import (
     BetaPoly,
+    diff_product,
     format_rational,
     parse_rational,
     serialize_scalar,
+    superfactorial,
 )
 
 
@@ -112,3 +114,21 @@ def test_betapoly_eval_is_a_homomorphism(p, q, x):
 @given(polys, rationals, rationals, rationals)
 def test_subst_linear_agrees_with_eval(p, a, b, x):
     assert p.subst_linear(a, b).eval(x) == p.eval(a + b * x)
+
+
+@given(st.lists(st.integers(-40, 40), max_size=8))
+def test_diff_product_is_the_plain_nested_product(vec):
+    want = 1
+    for i in range(len(vec)):
+        for j in range(i + 1, len(vec)):
+            want *= vec[i] - vec[j]
+    assert diff_product(vec) == diff_product(tuple(vec)) == want
+
+
+def test_superfactorial_is_the_plain_nested_product():
+    for k in range(12):
+        want = 1
+        for i in range(1, k + 1):
+            for j in range(1, i + 1):
+                want *= j
+        assert superfactorial(k) == want, k

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hookexp import identities
+from hookexp.partition import hooks_of, partition_tuples, syt_count_of
 from hookexp.identities import (
     REGISTRY,
     VerificationReport,
@@ -179,3 +180,19 @@ def test_beta_sampled_checks_use_enough_points():
         samples = _beta_samples(n)
         assert len(samples) == n + 3
         assert len(set(samples)) == len(samples)
+
+
+def test_hook_moment_matches_the_power_sum_forms():
+    # e_1, e_2, e_3 of the squared hooks through the power sums s_j of h^2j:
+    # the forms the moment checks used before the e_k recurrence
+    for m in range(11):
+        want = [0, 0, 0, 0]
+        for parts in partition_tuples(m):
+            hooks = hooks_of(parts)
+            f2 = syt_count_of(parts) ** 2
+            s1, s2, s3 = (sum(h ** (2 * j) for h in hooks) for j in (1, 2, 3))
+            want[1] += f2 * s1
+            want[2] += f2 * (s1 * s1 - s2) // 2
+            want[3] += f2 * (s1 ** 3 - 3 * s1 * s2 + 2 * s3) // 6
+        for k in (1, 2, 3):
+            assert identities._hook_moment(m, k) == want[k], (m, k)

@@ -1,0 +1,45 @@
+"""The benchmark's tracer looks up every layer name with getattr, so a name
+deleted or renamed in hookexp would crash a traced benchmark run; this test
+fails first.  perfbench/layers.py is only imported, never changed."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_layers():
+    # layers.py imports its sibling checkers.py as a top-level module
+    saved = sys.dont_write_bytecode, "checkers" in sys.modules
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_layers", PERFBENCH / "layers.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        sys.dont_write_bytecode = saved[0]
+        if not saved[1]:
+            sys.modules.pop("checkers", None)
+    return module
+
+
+def test_every_traced_name_resolves_in_hookexp():
+    layers = _load_layers()
+    names = {n for group in layers.LAYERS.values() for n in group}
+    names |= set(layers.OTHER)
+    missing = []
+    for name in sorted(names):
+        # "tcore.enumerate_t_cores[coding]": the suffix tags the span only
+        module, *attrs = name.split("[")[0].split(".")
+        obj = importlib.import_module("hookexp." + module)
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(name)
+    assert len(names) > 50
+    assert missing == []

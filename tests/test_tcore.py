@@ -1,8 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hookexp.tcore as T
 from hookexp.partition import hook_eval_product, hooks_of, partition_tuples
 from hookexp.tcore import (
     HSet,
@@ -112,6 +115,38 @@ def test_product_formula_matches_hooks_everywhere():
             for core in enumerate_t_cores(n, t):
                 lhs = core_product_from_v(v_coding(core, t), t)
                 assert lhs == hook_eval_product(core, t * t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.sampled_from(range(3, 16, 2)), n=st.integers(0, 24))
+def test_coding_matches_filter_and_every_coding_round_trips(t, n):
+    cores = enumerate_t_cores(n, t, method="coding")
+    assert cores == enumerate_t_cores(n, t, method="filter")
+    for core in cores:
+        v = v_coding(core, t)
+        assert core_from_v(v, t) == core
+        assert v_from_n(n_coding(core, t), t) == v
+        assert u_from_v(v, t) == u_coding(core, t)
+
+
+def test_coding_decode_checks_each_core_once(monkeypatch):
+    # one hook check per decoded core, and no detour through the public
+    # encoders, which would check the core again
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(T, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in ("is_t_core", "h_set", "u_coding", "v_coding"):
+        monkeypatch.setattr(T, name, counting(name))
+    cores = enumerate_t_cores(40, 5, method="coding")
+    assert len(cores) > 1
+    assert calls == Counter(is_t_core=len(cores))
 
 
 def test_five_cores_of_five():
