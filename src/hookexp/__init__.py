@@ -13,6 +13,8 @@ from .partition import (
     hook_beta_poly_of,
     hook_beta_sum,
     hook_beta_sum_poly,
+    hook_beta_sums,
+    hook_beta_sums_poly,
     hook_eval_product,
     hooks_of,
     partition_count,
@@ -62,6 +64,8 @@ __all__ = [
     "hook_beta_poly_of",
     "hook_beta_sum",
     "hook_beta_sum_poly",
+    "hook_beta_sums",
+    "hook_beta_sums_poly",
     "hook_eval_product",
     "hooks_of",
     "is_t_core",

@@ -7,7 +7,9 @@ of stdout closes it early.
 
 `partitions` and `cores --method filter` enumerate every partition of n;
 they refuse an n with more than HOOKEXP_MAX_PARTITIONS partitions
-(default 10^6, about n = 60).
+(default 10^6, about n = 60).  `verify` with `--order N` or `--n N`, and
+`revert --method lagrange --order N`, walk the partitions of every size up
+to N; they refuse an N with more than that many in all (about N = 48).
 """
 
 import argparse
@@ -49,20 +51,24 @@ class UsageError(ValueError):
     pass
 
 
-def _guard_partition_count(n):
-    """Refuse an n whose partitions are too many to enumerate."""
+def _guard_partition_count(flag, n, up_to=False):
+    """Refuse an n whose partitions (of n, or of every size up to n) are
+    too many to enumerate."""
     raw = os.environ.get(MAX_PARTITIONS_ENV, "")
     try:
         limit = int(raw) if raw else DEFAULT_MAX_PARTITIONS
     except ValueError:
         raise UsageError("%s must be an integer, got %r"
                          % (MAX_PARTITIONS_ENV, raw)) from None
-    count = partition_count(n)
+    count = sum(map(partition_count, range(n + 1) if up_to else (n,)))
     if count > limit:
         raise UsageError(
-            "--n %d has %d partitions, more than the %d this command may "
-            "enumerate (%s); for t-cores with odd t >= 3 use "
-            "`cores --method coding`" % (n, count, limit, MAX_PARTITIONS_ENV))
+            "%s %d has %d partitions%s, more than the %d this command may "
+            "enumerate (%s); %s"
+            % (flag, n, count, " of sizes up to %d" % n if up_to else "",
+               limit, MAX_PARTITIONS_ENV,
+               "lower %s" % flag if up_to else
+               "for t-cores with odd t >= 3 use `cores --method coding`"))
 
 
 def _plain_coeff(c):
@@ -127,8 +133,10 @@ def _cmd_verify(args):
         for flag in ("id", "t", "n"):
             if getattr(args, flag) is not None:
                 raise UsageError("--all cannot be combined with --%s" % flag)
-        if args.order is not None and args.order < 0:
-            raise UsageError("--order must be at least 0 with --all")
+        if args.order is not None:
+            if args.order < 0:
+                raise UsageError("--order must be at least 0 with --all")
+            _guard_partition_count("--order", args.order, up_to=True)
         reports = verify_all(order_budget=args.order)
     else:
         if not args.id:
@@ -147,6 +155,8 @@ def _cmd_verify(args):
             if floor is not None and value < floor:
                 raise UsageError("--%s must be at least %d for %s"
                                  % (flag, floor, args.id))
+            if flag != "t":
+                _guard_partition_count("--" + flag, value, up_to=True)
             params[key] = value
         reports = [verify(args.id, params)]
     if args.format == "json":
@@ -182,7 +192,7 @@ def _cmd_partitions(args):
     t = args.t_core
     if t is not None and t < 1:
         raise UsageError("--t-core must be positive")
-    _guard_partition_count(args.n)
+    _guard_partition_count("--n", args.n)
     for parts in partition_tuples(args.n):
         if t is not None and not is_t_core(parts, t):
             continue
@@ -194,7 +204,7 @@ def _cmd_cores(args):
     if args.n < 0:
         raise UsageError("--n must be non-negative")
     if args.method == "filter":
-        _guard_partition_count(args.n)
+        _guard_partition_count("--n", args.n)
     for core in enumerate_t_cores(args.n, args.t, method=args.method):
         print(",".join(map(str, core)))
     return 0
@@ -264,6 +274,8 @@ def _cmd_seq(args):
 def _cmd_revert(args):
     if args.order < 0:
         raise UsageError("--order must be non-negative")
+    if args.method == "lagrange":
+        _guard_partition_count("--order", args.order, up_to=True)
     ser = revert_euler(args.order, method=args.method)
     for n in range(args.order + 1):
         print("%d: %s" % (n, format_rational(ser[n])))

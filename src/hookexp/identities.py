@@ -23,8 +23,8 @@ from .partition import (
     b_stat_of,
     contents_of,
     hook_beta_poly_of,
-    hook_beta_sum,
-    hook_beta_sum_poly,
+    hook_beta_sums,
+    hook_beta_sums_poly,
     hook_eval_product,
     hook_lists,
     hook_multiset_all,
@@ -139,8 +139,7 @@ def _mm(location, lhs, rhs):
 def _check_main_identity(N):
     rng = "x^0..x^%d, symbolic beta" % N
     lhs = euler_power_formal(N)
-    for n in range(N + 1):
-        rhs = hook_beta_sum_poly(n)
+    for n, rhs in enumerate(hook_beta_sums_poly(N)):
         if lhs[n] != rhs:
             return False, rng, _mm("x^%d" % n, lhs[n], rhs)
     return True, rng, None
@@ -151,16 +150,13 @@ def _check_main_identity(N):
            {"K": 4, "N": 8}, {"K": 1, "N": 0}, ("K", "N"))
 def _check_theorem_2_1(K, N):
     rng = "1<=X-deg<=%d, 0<=Y-deg<=%d, x^0..x^%d" % (K, K, N)
-    hsums = {}
+    hsums = [hook_beta_sums(N, b + 1) for b in range(K + 1)]
     for a in range(1, K + 1):
         for b in range(K + 1):
             lhs = euler_product_direct(b, N, step=a)
             arr = [Fraction(0)] * (N + 1)
             for m in range(N // a + 1):
-                key = (m, b + 1)
-                if key not in hsums:
-                    hsums[key] = hook_beta_sum(m, b + 1)
-                arr[a * m] += hsums[key]
+                arr[a * m] += hsums[b][m]
             for n in range(N + 1):
                 if lhs[n] != arr[n]:
                     return False, rng, _mm("X^%d Y^%d x^%d" % (a, b, n),
@@ -173,8 +169,8 @@ def _check_theorem_2_1(K, N):
            {"n": 10}, {"n": 0}, ("n",))
 def _check_corollary_2_3(n):
     rng = "n=0..%d" % n
-    for m in range(n + 1):
-        poly = hook_beta_sum_poly(m) * factorial(m)
+    for m, poly in enumerate(hook_beta_sums_poly(n)):
+        poly = poly * factorial(m)
         for i in range(m + 1):
             c = poly.coefficient(i)
             if c.denominator != 1:
@@ -187,9 +183,10 @@ def _check_corollary_2_3(n):
            {"n": 15, "k": 10}, {"n": 0, "k": 1}, ("n", "k"))
 def _check_corollary_2_4(n, k):
     rng = "n=0..%d, k=1..%d" % (n, k)
+    sums = {kk: hook_beta_sums(n, kk) for kk in range(1, k + 1)}
     for m in range(n + 1):
         for kk in range(1, k + 1):
-            val = hook_beta_sum(m, kk)
+            val = sums[kk][m]
             if val.denominator != 1:
                 return False, rng, _mm("n=%d k=%d" % (m, kk), val, "integer")
     return True, rng, None
@@ -205,8 +202,7 @@ def _check_corollary_2_6(n, k):
     for kk in range(k + 1):
         conv = [sum(conv[j] * pl[m - j] for j in range(m + 1))
                 for m in range(n + 1)]
-        for m in range(n + 1):
-            rhs = hook_beta_sum(m, -kk)
+        for m, rhs in enumerate(hook_beta_sums(n, -kk)):
             if conv[m] != rhs:
                 return False, rng, _mm("k=%d x^%d" % (kk, m), Fraction(conv[m]), rhs)
     return True, rng, None
@@ -230,10 +226,9 @@ def _check_rsk_square_sum(n):
            {"n": 12}, {"n": 0}, ("n",))
 def _check_pp_identity(n):
     rng = "n=0..%d" % n
-    for m in range(n + 1):
+    for m, rhs in enumerate(hook_beta_sums(n, -1)):
         pairs = sum(len(partition_tuples(a)) * len(partition_tuples(m - a))
                     for a in range(m + 1))
-        rhs = hook_beta_sum(m, -1)
         if pairs != rhs:
             return False, rng, _mm("x^%d" % m, Fraction(pairs), rhs)
     return True, rng, None
@@ -245,8 +240,7 @@ def _check_pp_identity(n):
 def _check_pentagonal_beta2(N):
     rng = "x^0..x^%d" % N
     pent = pentagonal_series(N)
-    for m in range(N + 1):
-        lhs = hook_beta_sum(m, 2)
+    for m, lhs in enumerate(hook_beta_sums(N, 2)):
         if lhs != pent[m]:
             return False, rng, _mm("x^%d" % m, lhs, pent[m])
     return True, rng, None
@@ -275,10 +269,9 @@ def _check_jacobi_beta4(N):
     rng = "x^0..x^%d (hook sum / sparse / exp routes), staircases within order" % N
     jac = jacobi_cube_series(N)
     eul = euler_power(3, N)
-    for m in range(N + 1):
+    for m, lhs in enumerate(hook_beta_sums(N, 4)):
         if jac[m] != eul[m]:
             return False, rng, _mm("x^%d (sparse vs exp)" % m, jac[m], eul[m])
-        lhs = hook_beta_sum(m, 4)
         if lhs != jac[m]:
             return False, rng, _mm("x^%d (hook sum vs sparse)" % m, lhs, jac[m])
     m = 1
@@ -746,8 +739,7 @@ def _check_magic(N):
                 term = _content_hook_series(parts, b0, N, content_shift=1)
                 if term is not None:
                     tot = tot + term
-        for n in range(N + 1):
-            rhs = hook_beta_sum(n, b0)
+        for n, rhs in enumerate(hook_beta_sums(N, b0)):
             if tot[n] != rhs:
                 return False, rng, _mm("beta=%s x^%d" % (b0, n), tot[n], rhs)
     return True, rng, None
@@ -781,8 +773,8 @@ def _check_reversion(N):
            {"n": 15}, {"n": 0}, ("n",))
 def _check_cor_9_2(n):
     rng = "n=0..%d" % n
-    for m in range(n + 1):
-        val = hook_beta_sum(m, -m) / (m + 1)
+    for m, poly in enumerate(hook_beta_sums_poly(n)):
+        val = poly.eval(-m) / (m + 1)
         if val.denominator != 1 or val <= 0:
             return False, rng, _mm("n=%d" % m, val, "positive integer")
     return True, rng, None

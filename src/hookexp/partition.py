@@ -12,7 +12,7 @@ Fast paths work on plain tuples (`partition_tuples`, `hooks_of`, ...); the
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from math import factorial, lcm, prod
 from operator import ge, mul
 
@@ -155,27 +155,20 @@ def syt_count_of(parts):
     return f
 
 
-def _hook_poly(hooks):
-    """Int coefficients of prod(h^2 - beta), lowest degree first, and
-    the hook product prod h."""
+def hook_beta_poly_of(parts):
+    """prod over cells of (1 - beta/h^2), as a BetaPoly in beta.
+
+    Computed as prod(h^2 - beta) over prod(h^2), all in integer arithmetic.
+    """
     poly = [1]
     ph = 1
-    for h in hooks:
+    for h in hooks_of(parts):
         h2 = h * h
         ph *= h
         poly.append(-poly[-1])
         for i in range(len(poly) - 2, 0, -1):
             poly[i] = h2 * poly[i] - poly[i - 1]
         poly[0] = h2 * poly[0]
-    return poly, ph
-
-
-def hook_beta_poly_of(parts):
-    """prod over cells of (1 - beta/h^2), as a BetaPoly in beta.
-
-    Computed as prod(h^2 - beta) over prod(h^2), all in integer arithmetic.
-    """
-    poly, ph = _hook_poly(hooks_of(parts))
     den = ph * ph
     return BetaPoly([Fraction(c, den) for c in poly])
 
@@ -204,46 +197,115 @@ def conjugate_reps(n):
         yield hooks, (1 if conj == parts else 2)
 
 
-def hook_beta_sum(n, beta):
-    """sum over partitions of n of prod(1 - beta/h^2), exactly.
+# ---------------------------------------------------------------------------
+# the hook sweep: the hook-product sums of every size n <= N in one walk
 
-    Uses the tableau-count form: the sum equals
-    (1/n!^2) * sum_lambda f_lambda^2 * prod(h^2 - beta), which keeps the
-    accumulation in integer arithmetic (one Fraction at the end).  The sum
-    runs over conjugate-class representatives.
+def _hook_sweep(N, cell):
+    """[sum over partitions of n of f^2 * P for n = 0..N], f = n!/prod h.
+
+    P starts at 1 and each cell of hook h turns it into cell(P, h).  The
+    depth-first walk grows mu by a new top row of length L >= mu_1: the
+    cells below keep their hooks, and the new row's hooks are
+    L - j + mu'_j + 1 for j = 1..L, read from the column lengths mu'
+    (adding the largest bead of a beta-set, Macdonald I.1).  Each prefix
+    is shared by all its extensions, the stack holds O(N) values and no
+    partition table is built.  Conjugation keeps the hooks, so a partition
+    with mu_1 > rows counts twice, one with mu_1 = rows once, and a branch
+    that holds only partitions with mu_1 < rows is not entered.
+    """
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    fact = [factorial(n) for n in range(N + 1)]
+    sums = [0] * (N + 1)
+    cols = [0] * N  # mu'_j at cols[j - 1]
+
+    def grow(n, top, rows, hook_prod, P):
+        if top >= rows:
+            f = fact[n] // hook_prod
+            sums[n] += (f * f if top == rows else 2 * f * f) * P
+        # a narrow child (L <= rows) is entered only if a row of rows + 2,
+        # which its first wide descendant needs, still fits on it
+        for L in chain(range(max(top, 1), min(rows, N - n - rows - 2) + 1),
+                       range(max(top, rows + 1), N - n + 1)):
+            H, Q = hook_prod, P
+            for j in range(L):
+                h = L - j + cols[j]
+                H *= h
+                Q = cell(Q, h)
+            for j in range(L):
+                cols[j] += 1
+            grow(n + L, L, rows + 1, H, Q)
+            for j in range(L):
+                cols[j] -= 1
+
+    grow(0, 0, 0, 1, 1)
+    return sums
+
+
+def hook_beta_sums(N, beta):
+    """[sum over partitions of n of prod(1 - beta/h^2) for n = 0..N].
+
+    One sweep carries the int prod(q h^2 - p) for beta = p/q; slot n is
+    divided by n!^2 q^n once, at the end.
     """
     beta = Fraction(beta)
     p, q = beta.numerator, beta.denominator
+    w = [q * h * h - p for h in range(N + 1)]
+    sums = _hook_sweep(N, lambda P, h: P * w[h])
+    return [Fraction(s, factorial(n) ** 2 * q ** n) for n, s in enumerate(sums)]
+
+
+def _packing_bits(N):
+    """Bits per coefficient for sweep sums of size <= N packed at X = 2^B.
+
+    prod(h^2 + X) has non-negative coefficients, each at most 2^n prod h^2,
+    so slot n's coefficients are at most p(n) 2^n n!^2: B - 2 bits hold them.
+    """
+    return (partition_count(N) * 2 ** N * factorial(N) ** 2).bit_length() + 2
+
+
+def _unpack_hook_sum(packed, n, B):
+    """The BetaPoly (1/n!^2) sum f^2 prod(h^2 - beta) from its value at
+    -beta = X = 2^B.  Every coefficient must divide exactly by n!
+    (Corollary 2.3) and no bits may lie past degree n; ArithmeticError
+    otherwise.
+    """
     fact = factorial(n)
-    total = 0
-    for hooks, mult in conjugate_reps(n):
-        num = 1
-        ph = 1
-        for h in hooks:
-            ph *= h
-            num *= q * h * h - p
-        f = fact // ph
-        total += mult * f * f * num
-    return Fraction(total, fact * fact * q ** n)
+    mask = (1 << B) - 1
+    coeffs = []
+    for k in range(n + 1):
+        c, rem = divmod(packed & mask, fact)
+        if rem:
+            raise ArithmeticError("packed hook sum of size %d: coefficient %d "
+                                  "is not divisible by %d!" % (n, k, n))
+        coeffs.append(Fraction(-c if k % 2 else c, fact))
+        packed >>= B
+    if packed:
+        raise ArithmeticError("packed hook sum of size %d has bits past "
+                              "degree %d" % (n, n))
+    return BetaPoly(coeffs)
+
+
+def hook_beta_sums_poly(N):
+    """[sum over partitions of n of prod(1 - beta/h^2) for n = 0..N], each
+    a BetaPoly, from one sweep.
+
+    The sweep carries P = prod(h^2 + X), X = -beta, as one integer at
+    X = 2^B (Kronecker substitution), so each cell costs h^2 P + (P << B).
+    """
+    B = _packing_bits(N)
+    sums = _hook_sweep(N, lambda P, h: h * h * P + (P << B))
+    return [_unpack_hook_sum(s, n, B) for n, s in enumerate(sums)]
+
+
+def hook_beta_sum(n, beta):
+    """sum over partitions of n of prod(1 - beta/h^2), exactly."""
+    return hook_beta_sums(n, beta)[n]
 
 
 def hook_beta_sum_poly(n):
-    """sum over partitions of n of prod(1 - beta/h^2), as a BetaPoly.
-
-    Same integer-arithmetic scheme as hook_beta_sum, with a polynomial
-    accumulator: coefficients of sum_lambda f^2 * prod(h^2 - beta) are
-    divided by n!^2 once at the end.
-    """
-    fact = factorial(n)
-    acc = [0] * (n + 1)
-    for hooks, mult in conjugate_reps(n):
-        poly, ph = _hook_poly(hooks)
-        f = fact // ph
-        w = mult * f * f
-        for i, c in enumerate(poly):
-            acc[i] += w * c
-    fact2 = fact * fact
-    return BetaPoly([Fraction(c, fact2) for c in acc])
+    """sum over partitions of n of prod(1 - beta/h^2), as a BetaPoly."""
+    return hook_beta_sums_poly(n)[n]
 
 
 # ---------------------------------------------------------------------------

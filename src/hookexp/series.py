@@ -18,7 +18,7 @@ from .exactnum import BetaPoly, diff_product, superfactorial
 from .partition import (
     b_stat_of,
     contents_of,
-    hook_beta_sum,
+    hook_beta_sums_poly,
     hooks_of,
 )
 
@@ -487,7 +487,8 @@ def revert_euler(order, method="lagrange"):
     """Compositional inverse y(x) of x = y * prod_{m>=1} (1 - y^m).
 
     method="lagrange" extracts each coefficient as a hook-length sum:
-      [x^n] y = (1/n) * sum over partitions of n-1 of prod(1 + (n-1)/h^2).
+      [x^n] y = (1/n) * sum over partitions of n-1 of prod(1 + (n-1)/h^2),
+    each the symbolic sum of hook_beta_sums_poly (one sweep) at beta = 1-n.
     method="iterate" solves the fixed point y = x / prod(1 - y^m) by
     successive substitution over int coefficients, one extra correct order
     per round (round r works only to order r, the first order it can fix),
@@ -496,8 +497,9 @@ def revert_euler(order, method="lagrange"):
     """
     if method == "lagrange":
         coeffs = [_ZERO]
+        sums = hook_beta_sums_poly(max(order - 1, 0))
         for n in range(1, order + 1):
-            c = hook_beta_sum(n - 1, -(n - 1)) / n
+            c = sums[n - 1].eval(1 - n) / n
             if c.denominator != 1:
                 raise ArithmeticError(
                     "reversion coefficient of x^%d is not an integer" % n)

@@ -128,6 +128,47 @@ def test_verify_rejects_order_below_minimum():
         assert "constant term" not in err
 
 
+def test_partition_walks_refuse_too_many_partitions(monkeypatch):
+    # sizes 0..3 have 1 + 1 + 2 + 3 = 7 partitions, sizes 0..4 have 12
+    monkeypatch.setenv("HOOKEXP_MAX_PARTITIONS", "11")
+    for argv in (("verify", "--id", "main-identity", "--order", "3"),
+                 ("verify", "--id", "cor-9-2", "--n", "3"),
+                 ("verify", "--all", "--order", "3"),
+                 ("revert", "--order", "3"),
+                 ("revert", "--order", "30", "--method", "iterate")):
+        assert run_cli(*argv)[0] in (0, 1), argv
+    for argv, flag in (
+            (("verify", "--id", "main-identity", "--order", "4"), "--order"),
+            (("verify", "--id", "theorem-2-1", "--order", "40"), "--order"),
+            (("verify", "--id", "cor-9-2", "--n", "4"), "--n"),
+            (("verify", "--all", "--order", "4"), "--order"),
+            (("revert", "--order", "4"), "--order"),
+            (("revert", "--method", "lagrange", "--order", "4"), "--order")):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, ""), argv
+        assert "%s %s has" % (flag, argv[-1]) in err
+        assert "HOOKEXP_MAX_PARTITIONS" in err and "lower " + flag in err
+
+
+def test_verify_all_json_is_the_same_at_one_and_two_workers():
+    import os
+    import subprocess
+    import sys
+    outs = []
+    for workers in ("1", "2"):
+        env = dict(os.environ, HOOKEXP_WORKERS=workers)
+        run = subprocess.run(
+            [sys.executable, "-m", "hookexp.cli", "verify", "--all", "--order",
+             "6", "--format", "json"], capture_output=True, text=True, env=env)
+        assert run.returncode == 1 and run.stderr == ""
+        reports = json.loads(run.stdout)
+        for r in reports:
+            assert r.pop("elapsed_ms") >= 0
+        outs.append(reports)
+    assert outs[0] == outs[1]
+    assert [r["id"] for r in outs[0]] == sorted(r["id"] for r in outs[0])
+
+
 def test_verify_all_with_budget():
     code, out, _ = run_cli("verify", "--all", "--order", "0",
                            "--format", "json")

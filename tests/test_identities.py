@@ -196,3 +196,35 @@ def test_hook_moment_matches_the_power_sum_forms():
             want[3] += f2 * (s1 ** 3 - 3 * s1 * s2 + 2 * s3) // 6
         for k in (1, 2, 3):
             assert identities._hook_moment(m, k) == want[k], (m, k)
+
+
+SWEEP_CHECKS = {
+    "main-identity": {"N": 6}, "theorem-2-1": {"K": 2, "N": 6},
+    "corollary-2-3": {"n": 6}, "corollary-2-4": {"n": 6, "k": 2},
+    "corollary-2-6": {"n": 6, "k": 1}, "pp-identity": {"n": 6},
+    "pentagonal-beta2": {"N": 6}, "jacobi-beta4": {"N": 6}, "magic": {"N": 4},
+    "cor-9-2": {"n": 6},
+}
+
+
+def test_sweep_sits_on_one_side_of_each_check(monkeypatch):
+    # skew every hook sum the sweep returns by 1/2: a check that had the
+    # sweep on both of its sides would still pass
+    from fractions import Fraction
+    import hookexp.series
+    from hookexp.partition import hook_beta_sums, hook_beta_sums_poly
+
+    def skew(kernel):
+        return lambda *args: [v + Fraction(1, 2) for v in kernel(*args)]
+    monkeypatch.setattr(identities, "hook_beta_sums", skew(hook_beta_sums))
+    monkeypatch.setattr(identities, "hook_beta_sums_poly",
+                        skew(hook_beta_sums_poly))
+    monkeypatch.setattr(hookexp.series, "hook_beta_sums_poly",
+                        skew(hook_beta_sums_poly))
+    for cid, params in SWEEP_CHECKS.items():
+        assert verify(cid, params).status == "fail", cid
+    # the lagrange side of `reversion` stops at its integrality check
+    with pytest.raises(ArithmeticError):
+        verify("reversion", {"N": 6})
+    monkeypatch.undo()
+    assert all(verify(cid, params).ok for cid, params in SWEEP_CHECKS.items())

@@ -11,8 +11,11 @@ from hookexp.partition import (
     doubled_staircase,
     first_column_hooks_of,
     hook_beta_poly_of,
+    conjugate_reps,
     hook_beta_sum,
     hook_beta_sum_poly,
+    hook_beta_sums,
+    hook_beta_sums_poly,
     hook_count_census,
     hook_eval_product,
     hook_multiset_all,
@@ -195,6 +198,45 @@ def test_hook_sum_vanishes_at_beta_2_off_pentagonal():
     assert hook_beta_sum(7, 2) == 1
 
 
+# Per-partition hook sums over conjugate-class representatives: the
+# sweep-free oracles (the library's per-n bodies before the sweep).
+
+def _oracle_hook_beta_sum(n, beta):
+    beta = Fraction(beta)
+    p, q = beta.numerator, beta.denominator
+    fact = factorial(n)
+    total = 0
+    for hooks, mult in conjugate_reps(n):
+        num = 1
+        ph = 1
+        for h in hooks:
+            ph *= h
+            num *= q * h * h - p
+        f = fact // ph
+        total += mult * f * f * num
+    return Fraction(total, fact * fact * q ** n)
+
+
+def _oracle_hook_beta_sum_poly(n):
+    fact = factorial(n)
+    acc = [0] * (n + 1)
+    for hooks, mult in conjugate_reps(n):
+        poly = [1]  # prod(h^2 - beta), lowest degree first
+        ph = 1
+        for h in hooks:
+            h2 = h * h
+            ph *= h
+            poly.append(-poly[-1])
+            for i in range(len(poly) - 2, 0, -1):
+                poly[i] = h2 * poly[i] - poly[i - 1]
+            poly[0] = h2 * poly[0]
+        f = fact // ph
+        for i, c in enumerate(poly):
+            acc[i] += mult * f * f * c
+    fact2 = fact * fact
+    return BetaPoly([Fraction(c, fact2) for c in acc])
+
+
 def test_hook_beta_sum_poly_matches_per_partition_oracle():
     for n in range(9):
         want = BetaPoly()
@@ -205,6 +247,7 @@ def test_hook_beta_sum_poly_matches_per_partition_oracle():
             assert hook_beta_poly_of(parts) == term
             want = want + term
         assert hook_beta_sum_poly(n) == want
+        assert _oracle_hook_beta_sum_poly(n) == want
 
 
 def test_hook_beta_sum_agrees_with_poly_eval():
@@ -212,6 +255,73 @@ def test_hook_beta_sum_agrees_with_poly_eval():
         poly = hook_beta_sum_poly(n)
         for beta in [Fraction(0), Fraction(2), Fraction(25), Fraction(-3, 2)]:
             assert hook_beta_sum(n, beta) == poly.eval(beta)
+            assert _oracle_hook_beta_sum(n, beta) == poly.eval(beta)
+
+
+SWEEP_POLYS = hook_beta_sums_poly(20)
+
+
+def test_symbolic_sweep_matches_per_partition_sums():
+    assert len(SWEEP_POLYS) == 21
+    for n in range(21):
+        assert SWEEP_POLYS[n] == sum(map(hook_beta_poly_of, partition_tuples(n)),
+                                     BetaPoly())
+        assert hook_beta_sums_poly(n) == SWEEP_POLYS[:n + 1]
+    for n in range(13):
+        assert SWEEP_POLYS[n] == _oracle_hook_beta_sum_poly(n)
+
+
+rationals_50 = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 18), rationals_50)
+def test_numeric_sweep_matches_oracle_and_symbolic_sweep(N, beta):
+    sums = hook_beta_sums(N, beta)
+    assert len(sums) == N + 1 and all(type(v) is Fraction for v in sums)
+    for n, value in enumerate(sums):
+        assert value == _oracle_hook_beta_sum(n, beta)
+        assert value == SWEEP_POLYS[n].eval(beta)
+    assert hook_beta_sum(N, beta) == sums[N]
+
+
+def test_sweep_builds_no_partition_table(monkeypatch):
+    import hookexp.partition as part
+
+    def refuse(*args):
+        raise AssertionError("the sweep must not enumerate partitions")
+    for name in ("hooks_of", "hook_lists", "partition_tuples", "conjugate_reps"):
+        monkeypatch.setattr(part, name, refuse)
+    assert part.hook_beta_sums_poly(12) == SWEEP_POLYS[:13]
+    assert part.hook_beta_sums(12, 7) == [p.eval(7) for p in SWEEP_POLYS[:13]]
+
+
+def test_sweep_rejects_negative_sizes():
+    with pytest.raises(ValueError):
+        hook_beta_sums(-1, 2)
+    with pytest.raises(ValueError):
+        hook_beta_sums_poly(-1)
+
+
+def test_corrupted_packed_sum_raises_under_python_O():
+    import subprocess
+    import sys
+    # one unit more in the lowest coefficient breaks the division by n!;
+    # a bit past degree n is left over after unpacking
+    for corrupt in ("s[6] + 1", "s[6] + (1 << 7 * B)"):
+        code = ("import hookexp.partition as P\n"
+                "B = P._packing_bits(6)\n"
+                "sweep = P._hook_sweep\n"
+                "def bad(N, cell):\n"
+                "    s = sweep(N, cell)\n"
+                "    s[6] = %s\n"
+                "    return s\n"
+                "P._hook_sweep = bad\n"
+                "P.hook_beta_sums_poly(6)\n" % corrupt)
+        run = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True)
+        assert run.returncode == 1, corrupt
+        assert "ArithmeticError" in run.stderr, run.stderr
 
 
 # Per-partition Fraction sums of hook statistics: the census-free oracle.

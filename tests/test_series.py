@@ -181,8 +181,8 @@ def test_integer_iteration_matches_lagrange_to_order_20():
 
 def test_lagrange_integrality_check_raises(monkeypatch):
     import hookexp.series as series_mod
-    monkeypatch.setattr(series_mod, "hook_beta_sum",
-                        lambda n, beta: Fraction(1, 2))
+    monkeypatch.setattr(series_mod, "hook_beta_sums_poly",
+                        lambda N: [BetaPoly.constant(Fraction(1, 2))] * (N + 1))
     with pytest.raises(ArithmeticError):
         revert_euler(3, method="lagrange")
 
