@@ -23,6 +23,7 @@ from .partition import (
     b_stat_of,
     contents_of,
     hook_beta_poly_of,
+    hook_beta_sum_poly,  # unused here; perfbench/selftest.py traces this name
     hook_beta_sums,
     hook_beta_sums_poly,
     hook_eval_product,

@@ -43,3 +43,19 @@ def test_every_traced_name_resolves_in_hookexp():
             missing.append(name)
     assert len(names) > 50
     assert missing == []
+
+
+def test_every_name_the_selftest_reads_resolves():
+    # perfbench/selftest.py reads module attributes such as
+    # identities.hook_beta_sum_poly directly, so a dropped import breaks it
+    import re
+    text = (PERFBENCH / "selftest.py").read_text()
+    aliases = {"hcli": "cli", "identities": "identities",
+               "partition": "partition", "series": "series"}
+    found = set(re.findall(r"\b(%s)\.([A-Za-z_]\w*)\b" % "|".join(aliases), text))
+    assert ("identities", "hook_beta_sum_poly") in found
+    missing = [(alias, attr) for alias, attr in sorted(found)
+               if not hasattr(importlib.import_module("hookexp." + aliases[alias]),
+                              attr)
+               and (alias, attr) != ("identities", "check")]  # a span-name prefix
+    assert missing == []
