@@ -89,9 +89,6 @@ class BetaPoly:
             return self.coeffs[i]
         return Fraction(0)
 
-    def is_zero(self):
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
 

@@ -6,6 +6,15 @@ exactly — no floats, no tolerances.  A failed comparison reports the
 smallest graded location where the sides differ, with both values
 serialized exactly.
 
+A check returns (checked_range, rows): rows is a lazy iterable of
+(location, lhs, rhs) triples in graded order, and one scan
+(_first_mismatch, run by the registry entry inside verify()'s timed
+section) reports the first row whose sides differ.  An rhs that is a
+literal string ("integer", "> 0", "a t-core") names a property that lhs
+lacks, so a check yields such a row only where the property fails.  Rows
+are produced on demand, so the scan stops at the first mismatch and
+nothing past it is computed.
+
 verify() runs one entry; verify_all() runs the whole registry at default
 (or budget-clamped) parameters, optionally across worker processes
 (HOOKEXP_WORKERS), and orders the aggregate report by id.
@@ -16,7 +25,8 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import chain
+from math import factorial, prod
 
 from .exactnum import BetaPoly, diff_product, serialize_scalar
 from .partition import (
@@ -101,25 +111,33 @@ class VerificationReport:
 
 
 class _Check:
-    __slots__ = ("id", "description", "defaults", "minimal", "range_params", "fn")
+    __slots__ = ("id", "description", "defaults", "minimal", "fn")
 
-    def __init__(self, cid, description, defaults, minimal, range_params, fn):
+    def __init__(self, cid, description, defaults, minimal, fn):
         self.id = cid
         self.description = description
         self.defaults = defaults
         self.minimal = minimal
-        self.range_params = range_params
         self.fn = fn
 
 
 REGISTRY = {}
 
 
-def _register(cid, description, defaults, minimal=None, range_params=()):
-    def deco(fn):
-        REGISTRY[cid] = _Check(cid, description, defaults, minimal or {},
-                               range_params, fn)
-        return fn
+def _register(cid, description, defaults, minimal):
+    """Register check(**params) -> (checked_range, rows); the keys of
+    `minimal` are its range parameters, each with its smallest valid value.
+
+    The entry's fn returns (checked_range, first_mismatch): it scans the
+    rows itself, so that a wrapper around fn (perfbench's per-check trace
+    spans) times the comparison along with the check.
+    """
+    def deco(check):
+        def fn(**params):
+            rng, rows = check(**params)
+            return rng, _first_mismatch(rows)
+        REGISTRY[cid] = _Check(cid, description, defaults, minimal, fn)
+        return check
     return deco
 
 
@@ -130,345 +148,284 @@ def _mm(location, lhs, rhs):
     return {"location": location, "lhs": ser(lhs), "rhs": ser(rhs)}
 
 
+def _first_mismatch(rows):
+    """_mm of the first row whose sides differ, or None; a literal-string
+    rhs names a property lhs lacks, so such a row always differs."""
+    return next((_mm(where, lhs, rhs) for where, lhs, rhs in rows
+                 if isinstance(rhs, str) or lhs != rhs), None)
+
+
+def _coefficients(where, lhs, rhs):
+    """Rows (where % n, lhs[n], rhs[n]) over the longer of two coefficient
+    sequences (series or lists): a short side raises IndexError instead of
+    leaving degrees unchecked."""
+    lhs, rhs = list(lhs), list(rhs)
+    for n in range(max(len(lhs), len(rhs))):
+        yield where % n, lhs[n], rhs[n]
+
+
+def _by_degree(*routes):
+    """Interleave the rows of several routes degree by degree."""
+    return chain.from_iterable(zip(*routes))
+
+
 # ---------------------------------------------------------------------------
 # the checks
 
 
 @_register("main-identity",
            "hook-length expansion of an arbitrary formal power of the Euler product",
-           {"N": 30}, {"N": 0}, ("N",))
+           {"N": 30}, {"N": 0})
 def _check_main_identity(N):
-    rng = "x^0..x^%d, symbolic beta" % N
-    lhs = euler_power_formal(N)
-    for n, rhs in enumerate(hook_beta_sums_poly(N)):
-        if lhs[n] != rhs:
-            return False, rng, _mm("x^%d" % n, lhs[n], rhs)
-    return True, rng, None
+    return ("x^0..x^%d, symbolic beta" % N,
+            _coefficients("x^%d", euler_power_formal(N), hook_beta_sums_poly(N)))
 
 
 @_register("theorem-2-1",
            "doubly-indexed refinement: direct products (1-x^{am})^b vs hook sums",
-           {"K": 4, "N": 8}, {"K": 1, "N": 0}, ("K", "N"))
+           {"K": 4, "N": 8}, {"K": 1, "N": 0})
 def _check_theorem_2_1(K, N):
-    rng = "1<=X-deg<=%d, 0<=Y-deg<=%d, x^0..x^%d" % (K, K, N)
     hsums = [hook_beta_sums(N, b + 1) for b in range(K + 1)]
-    for a in range(1, K + 1):
-        for b in range(K + 1):
-            lhs = euler_product_direct(b, N, step=a)
-            arr = [Fraction(0)] * (N + 1)
-            for m in range(N // a + 1):
-                arr[a * m] += hsums[b][m]
-            for n in range(N + 1):
-                if lhs[n] != arr[n]:
-                    return False, rng, _mm("X^%d Y^%d x^%d" % (a, b, n),
-                                           lhs[n], arr[n])
-    return True, rng, None
+
+    def spread(b, a):  # the hook sums of b placed at every a-th degree
+        arr = [0] * (N + 1)
+        arr[::a] = hsums[b][:N // a + 1]
+        return arr
+    return ("1<=X-deg<=%d, 0<=Y-deg<=%d, x^0..x^%d" % (K, K, N),
+            (row for a in range(1, K + 1) for b in range(K + 1)
+             for row in _coefficients("X^%d Y^%d x^%%d" % (a, b),
+                                      euler_product_direct(b, N, step=a),
+                                      spread(b, a))))
 
 
 @_register("corollary-2-3",
            "n! times the degree-n hook polynomial has integer coefficients",
-           {"n": 10}, {"n": 0}, ("n",))
+           {"n": 10}, {"n": 0})
 def _check_corollary_2_3(n):
-    rng = "n=0..%d" % n
-    for m, poly in enumerate(hook_beta_sums_poly(n)):
-        poly = poly * factorial(m)
-        for i in range(m + 1):
-            c = poly.coefficient(i)
-            if c.denominator != 1:
-                return False, rng, _mm("n=%d beta^%d" % (m, i), c, "integer")
-    return True, rng, None
+    return "n=0..%d" % n, (
+        ("n=%d beta^%d" % (m, i), c, "integer")
+        for m, poly in enumerate(hook_beta_sums_poly(n))
+        for i, c in enumerate((poly * factorial(m)).coeffs)
+        if c.denominator != 1)
 
 
 @_register("corollary-2-4",
            "hook sums at positive integer beta are integers",
-           {"n": 15, "k": 10}, {"n": 0, "k": 1}, ("n", "k"))
+           {"n": 15, "k": 10}, {"n": 0, "k": 1})
 def _check_corollary_2_4(n, k):
-    rng = "n=0..%d, k=1..%d" % (n, k)
-    sums = {kk: hook_beta_sums(n, kk) for kk in range(1, k + 1)}
-    for m in range(n + 1):
-        for kk in range(1, k + 1):
-            val = sums[kk][m]
-            if val.denominator != 1:
-                return False, rng, _mm("n=%d k=%d" % (m, kk), val, "integer")
-    return True, rng, None
+    sums = [hook_beta_sums(n, kk) for kk in range(1, k + 1)]
+    return "n=0..%d, k=1..%d" % (n, k), (
+        ("n=%d k=%d" % (m, kk), s[m], "integer")
+        for m in range(n + 1) for kk, s in enumerate(sums, 1)
+        if s[m].denominator != 1)
 
 
 @_register("corollary-2-6",
            "convolution powers of the partition series vs hook sums at beta=-k",
-           {"n": 10, "k": 3}, {"n": 0, "k": 0}, ("n", "k"))
+           {"n": 10, "k": 3}, {"n": 0, "k": 0})
 def _check_corollary_2_6(n, k):
-    rng = "n=0..%d, k=0..%d" % (n, k)
     pl = [partition_count(i) for i in range(n + 1)]
-    conv = [1] + [0] * n  # (partition gf)^0
-    for kk in range(k + 1):
-        conv = [sum(conv[j] * pl[m - j] for j in range(m + 1))
-                for m in range(n + 1)]
-        for m, rhs in enumerate(hook_beta_sums(n, -kk)):
-            if conv[m] != rhs:
-                return False, rng, _mm("k=%d x^%d" % (kk, m), Fraction(conv[m]), rhs)
-    return True, rng, None
+
+    def rows():
+        conv = [1] + [0] * n  # (partition gf)^0
+        for kk in range(k + 1):
+            conv = [sum(conv[j] * pl[m - j] for j in range(m + 1))
+                    for m in range(n + 1)]
+            yield from _coefficients("k=%d x^%%d" % kk, conv,
+                                     hook_beta_sums(n, -kk))
+    return "n=0..%d, k=0..%d" % (n, k), rows()
 
 
 @_register("rsk-square-sum",
            "sum of squared standard-tableau counts equals n!",
-           {"n": 10}, {"n": 0}, ("n",))
+           {"n": 10}, {"n": 0})
 def _check_rsk_square_sum(n):
-    rng = "n=0..%d" % n
-    for m in range(n + 1):
-        total = sum(syt_count_of(parts) ** 2 for parts in partition_tuples(m))
-        if total != factorial(m):
-            return False, rng, _mm("n=%d" % m, Fraction(total),
-                                   Fraction(factorial(m)))
-    return True, rng, None
+    return "n=0..%d" % n, (
+        ("n=%d" % m, sum(syt_count_of(parts) ** 2 for parts in partition_tuples(m)),
+         factorial(m))
+        for m in range(n + 1))
 
 
 @_register("pp-identity",
            "ordered pairs of partitions vs hook sums at beta=-1",
-           {"n": 12}, {"n": 0}, ("n",))
+           {"n": 12}, {"n": 0})
 def _check_pp_identity(n):
-    rng = "n=0..%d" % n
-    for m, rhs in enumerate(hook_beta_sums(n, -1)):
-        pairs = sum(len(partition_tuples(a)) * len(partition_tuples(m - a))
-                    for a in range(m + 1))
-        if pairs != rhs:
-            return False, rng, _mm("x^%d" % m, Fraction(pairs), rhs)
-    return True, rng, None
+    return "n=0..%d" % n, (
+        ("x^%d" % m, sum(len(partition_tuples(a)) * len(partition_tuples(m - a))
+                         for a in range(m + 1)), rhs)
+        for m, rhs in enumerate(hook_beta_sums(n, -1)))
 
 
 @_register("pentagonal-beta2",
            "hook sums at beta=2 vs the pentagonal-number series",
-           {"N": 30}, {"N": 0}, ("N",))
+           {"N": 30}, {"N": 0})
 def _check_pentagonal_beta2(N):
-    rng = "x^0..x^%d" % N
-    pent = pentagonal_series(N)
-    for m, lhs in enumerate(hook_beta_sums(N, 2)):
-        if lhs != pent[m]:
-            return False, rng, _mm("x^%d" % m, lhs, pent[m])
-    return True, rng, None
+    return "x^0..x^%d" % N, _coefficients("x^%d", hook_beta_sums(N, 2),
+                                          pentagonal_series(N))
 
 
 @_register("tau-5core",
            "discriminant coefficients via 5-core hook products at beta=25",
-           {"N": 20}, {"N": 1}, ("N",))
+           {"N": 20}, {"N": 1})
 def _check_tau_5core(N):
-    rng = "n=1..%d" % N
     E = euler_power(24, N - 1)
-    for m in range(1, N + 1):
-        lhs = E[m - 1]
-        rhs = sum((hook_eval_product(c, 25) for c in enumerate_t_cores(m - 1, 5)),
-                  Fraction(0))
-        if lhs != rhs:
-            return False, rng, _mm("n=%d" % m, lhs, rhs)
-    return True, rng, None
+    return "n=1..%d" % N, (
+        ("n=%d" % m, E[m - 1],
+         sum(hook_eval_product(c, 25) for c in enumerate_t_cores(m - 1, 5)))
+        for m in range(1, N + 1))
 
 
 @_register("jacobi-beta4",
            "cube of the Euler product: hook sums at beta=4, odd-square series, "
            "exp route, and staircase products",
-           {"N": 30}, {"N": 0}, ("N",))
+           {"N": 30}, {"N": 0})
 def _check_jacobi_beta4(N):
-    rng = "x^0..x^%d (hook sum / sparse / exp routes), staircases within order" % N
     jac = jacobi_cube_series(N)
-    eul = euler_power(3, N)
-    for m, lhs in enumerate(hook_beta_sums(N, 4)):
-        if jac[m] != eul[m]:
-            return False, rng, _mm("x^%d (sparse vs exp)" % m, jac[m], eul[m])
-        if lhs != jac[m]:
-            return False, rng, _mm("x^%d (hook sum vs sparse)" % m, lhs, jac[m])
-    m = 1
-    while m * (m + 1) // 2 <= N:
-        got = hook_eval_product(staircase(m).parts, 4)
-        want = Fraction((-1) ** m * (2 * m + 1))
-        if got != want:
-            return False, rng, _mm("staircase m=%d" % m, got, want)
-        m += 1
-    return True, rng, None
+    staircases = (("staircase m=%d" % m, hook_eval_product(staircase(m).parts, 4),
+                   (-1) ** m * (2 * m + 1))
+                  for m in range(1, N + 1) if m * (m + 1) // 2 <= N)
+    return ("x^0..x^%d (hook sum / sparse / exp routes), staircases within order" % N,
+            chain(_by_degree(
+                _coefficients("x^%d (sparse vs exp)", jac, euler_power(3, N)),
+                _coefficients("x^%d (hook sum vs sparse)", hook_beta_sums(N, 4), jac)),
+                staircases))
 
 
 @_register("eta8-beta9",
            "eighth power of the Euler product: 3-core hook sums at beta=9, "
            "sparse double sum, and exp route",
-           {"N": 20}, {"N": 0}, ("N",))
+           {"N": 20}, {"N": 0})
 def _check_eta8_beta9(N):
-    rng = "x^0..x^%d (3-core sum / double sum / exp routes)" % N
     dbl = eta8_double_sum(N)
-    eul = euler_power(8, N)
-    for m in range(N + 1):
-        if dbl[m] != eul[m]:
-            return False, rng, _mm("x^%d (double sum vs exp)" % m, dbl[m], eul[m])
-        lhs = sum((hook_eval_product(c, 9) for c in enumerate_t_cores(m, 3)),
-                  Fraction(0))
-        if lhs != dbl[m]:
-            return False, rng, _mm("x^%d (3-core sum vs double sum)" % m,
-                                   lhs, dbl[m])
-    return True, rng, None
-
-
-def _t_tuple(t):
-    return (t,) if isinstance(t, int) else tuple(t)
+    cores = [sum(hook_eval_product(c, 9) for c in enumerate_t_cores(m, 3))
+             for m in range(N + 1)]
+    return ("x^0..x^%d (3-core sum / double sum / exp routes)" % N,
+            _by_degree(_coefficients("x^%d (double sum vs exp)", dbl, euler_power(8, N)),
+                       _coefficients("x^%d (3-core sum vs double sum)", cores, dbl)))
 
 
 def _t_cores(t, n, start=0):
     """Yield (t, m, core, label) for every t-core of m = start..n, each t."""
-    for tt in _t_tuple(t):
+    for tt in t:
         for m in range(start, n + 1):
             for core in enumerate_t_cores(m, tt):
                 yield tt, m, core, "t=%d core=%s" % (tt, ",".join(map(str, core)))
 
 
+def _u_ratio(u, t):
+    """prod over j >= 1 of (u_j + t) / u_j, for the U-coding u of a t-core."""
+    return prod(Fraction(uj + t, uj) for uj in u[1:])
+
+
 @_register("gks-weight",
            "t-core weight from its region vector",
-           {"n": 25, "t": (3, 5, 7)}, {"n": 0}, ("n",))
+           {"n": 25, "t": (3, 5, 7)}, {"n": 0})
 def _check_gks_weight(n, t):
-    rng = "all t-cores of n=0..%d, t in %s" % (n, list(_t_tuple(t)))
-    for tt, m, core, at in _t_cores(t, n):
-        w = core_weight_from_n(n_coding(core, tt), tt)
-        if w != m:
-            return False, rng, _mm(at, Fraction(w), Fraction(m))
-    return True, rng, None
+    return "all t-cores of n=0..%d, t in %s" % (n, list(t)), (
+        (at, core_weight_from_n(n_coding(core, tt), tt), m)
+        for tt, m, core, at in _t_cores(t, n))
 
 
 @_register("phi-v-theorem",
            "zero-sum coding: weight and difference-product formulas",
-           {"n": 25, "t": (3, 5, 7)}, {"n": 0}, ("n",))
+           {"n": 25, "t": (3, 5, 7)}, {"n": 0})
 def _check_phi_v_theorem(n, t):
-    rng = "all t-cores of n=0..%d, t in %s" % (n, list(_t_tuple(t)))
-    for tt, m, core, at in _t_cores(t, n):
-        v = v_coding(core, tt)
-        w = core_weight_from_v(v, tt)
-        if w != m:
-            return False, rng, _mm(at + " weight", Fraction(w), Fraction(m))
-        pa = core_product_from_v(v, tt)
-        pb = hook_eval_product(core, tt * tt)
-        if pa != pb:
-            return False, rng, _mm(at + " product", pa, pb)
-    return True, rng, None
+    def rows():
+        for tt, m, core, at in _t_cores(t, n):
+            v = v_coding(core, tt)
+            yield at + " weight", core_weight_from_v(v, tt), m
+            yield (at + " product", core_product_from_v(v, tt),
+                   hook_eval_product(core, tt * tt))
+    return "all t-cores of n=0..%d, t in %s" % (n, list(t)), rows()
 
 
 @_register("lemma-5-5",
            "positive-hook product via residue-maximal elements",
-           {"n": 25, "t": (3, 5, 7)}, {"n": 0}, ("n",))
+           {"n": 25, "t": (3, 5, 7)}, {"n": 0})
 def _check_lemma_5_5(n, t):
-    rng = "all t-cores of n=0..%d, t in %s" % (n, list(_t_tuple(t)))
-    for tt, m, core, at in _t_cores(t, n):
-        t2 = Fraction(tt * tt)
-        lhs = Fraction(1)
-        for a in h_set(core, tt).elements:
-            if a > 0:
-                lhs *= 1 - t2 / (a * a)
-        rhs = Fraction(1)
-        for u in u_coding(core, tt)[1:]:
-            rhs *= Fraction(u + tt, u)
-        if lhs != rhs:
-            return False, rng, _mm(at, lhs, rhs)
-    return True, rng, None
+    return "all t-cores of n=0..%d, t in %s" % (n, list(t)), (
+        (at, prod(1 - Fraction(tt * tt, a * a)
+                  for a in h_set(core, tt).elements if a > 0),
+         _u_ratio(u_coding(core, tt), tt))
+        for tt, m, core, at in _t_cores(t, n))
 
 
 @_register("lemma-5-6",
            "difference-product ratio under erasure of the first column",
-           {"n": 25, "t": (3, 5, 7)}, {"n": 0}, ("n",))
+           {"n": 25, "t": (3, 5, 7)}, {"n": 0})
 def _check_lemma_5_6(n, t):
-    rng = "all non-empty t-cores of n=0..%d, t in %s" % (n, list(_t_tuple(t)))
-    for tt, m, core, at in _t_cores(t, n, start=1):
-        erased = tuple(x - 1 for x in core if x > 1)
-        if not is_t_core(erased, tt):
-            return False, rng, _mm(at + " erased", ",".join(map(str, erased)),
-                                   "a t-core")
-        u = u_coding(core, tt)
-        u2 = u_coding(erased, tt)
-        lhs = Fraction(diff_product(u), diff_product(u2))
-        rhs = Fraction(1)
-        for uj in u[1:]:
-            rhs *= Fraction(uj + tt, uj)
-        if lhs != rhs:
-            return False, rng, _mm(at, lhs, rhs)
-    return True, rng, None
+    def rows():
+        for tt, m, core, at in _t_cores(t, n, start=1):
+            erased = tuple(x - 1 for x in core if x > 1)
+            if not is_t_core(erased, tt):
+                yield at + " erased", ",".join(map(str, erased)), "a t-core"
+            u = u_coding(core, tt)
+            yield (at, Fraction(diff_product(u), diff_product(u_coding(erased, tt))),
+                   _u_ratio(u, tt))
+    return "all non-empty t-cores of n=0..%d, t in %s" % (n, list(t)), rows()
 
 
 @_register("macdonald",
            "eta-power coefficients as a lattice sum over zero-sum vectors",
-           {"t": (3, 5), "N": 20}, {"N": 0}, ("N",))
+           {"t": (3, 5), "N": 20}, {"N": 0})
 def _check_macdonald(t, N):
-    ts = _t_tuple(t)
-    rng = "t in %s, x^0..x^%d" % (list(ts), N)
-    for tt in ts:
-        lattice = macdonald_eta_power(tt, N)
-        eul = euler_power(tt * tt - 1, N)
-        for m in range(N + 1):
-            if lattice[m] != eul[m]:
-                return False, rng, _mm("t=%d x^%d" % (tt, m), lattice[m], eul[m])
-    return True, rng, None
+    return "t in %s, x^0..x^%d" % (list(t), N), (
+        row for tt in t
+        for row in _coefficients("t=%d x^%%d" % tt, macdonald_eta_power(tt, N),
+                                 euler_power(tt * tt - 1, N)))
 
 
 @_register("prop-6-1",
            "generating function of reciprocal squared hooks",
-           {"N": 25}, {"N": 0}, ("N",))
+           {"N": 25}, {"N": 0})
 def _check_prop_6_1(N):
-    rng = "x^0..x^%d" % N
-    rhs = partition_gf(N) * log_euler_sum(N)
-    for m in range(N + 1):
-        lhs = hook_power_moment(m, -2)
-        if lhs != rhs[m]:
-            return False, rng, _mm("x^%d" % m, lhs, rhs[m])
-    return True, rng, None
+    return "x^0..x^%d" % N, _coefficients(
+        "x^%d", [hook_power_moment(m, -2) for m in range(N + 1)],
+        partition_gf(N) * log_euler_sum(N))
 
 
 @_register("thm-6-2",
            "hook power sums transfer to divisor power sums",
-           {"N": 25, "alpha": (-1, 0, 1, 2)}, {"N": 0}, ("N",))
+           {"N": 25, "alpha": (-1, 0, 1, 2)}, {"N": 0})
 def _check_thm_6_2(N, alpha):
-    alphas = (alpha,) if isinstance(alpha, int) else tuple(alpha)
-    rng = "alpha in %s, x^0..x^%d" % (list(alphas), N)
     pgf = partition_gf(N)
-    for a in alphas:
-        rhs = pgf * divisor_power_gf(a + 1, N)
-        for m in range(N + 1):
-            lhs = hook_power_moment(m, a)
-            if lhs != rhs[m]:
-                return False, rng, _mm("alpha=%d x^%d" % (a, m), lhs, rhs[m])
-    return True, rng, None
+    return "alpha in %s, x^0..x^%d" % (list(alpha), N), (
+        row for a in alpha
+        for row in _coefficients("alpha=%d x^%%d" % a,
+                                 [hook_power_moment(m, a) for m in range(N + 1)],
+                                 pgf * divisor_power_gf(a + 1, N)))
 
 
 @_register("sebbm",
            "occurrences of part k vs cells of arm j and hook k, all j < k",
-           {"n": 12}, {"n": 0}, ("n",))
+           {"n": 12}, {"n": 0})
 def _check_sebbm(n):
-    rng = "n=0..%d, all parts k, all arms j<k" % n
-    for m in range(n + 1):
-        parts_census = part_occurrence_census(m)
-        cells = hook_type_census(m)
-        for k in range(1, m + 1):
-            want = parts_census.get(k, 0)
-            for j in range(k):
-                got = cells.get((j, k - 1 - j), 0)
-                if got != want:
-                    return False, rng, _mm("n=%d part=%d arm=%d" % (m, k, j),
-                                           Fraction(got), Fraction(want))
-    return True, rng, None
+    def rows():
+        for m in range(n + 1):
+            parts, cells = part_occurrence_census(m), hook_type_census(m)
+            for k in range(1, m + 1):
+                for j in range(k):
+                    yield ("n=%d part=%d arm=%d" % (m, k, j),
+                           cells[j, k - 1 - j], parts[k])
+    return "n=0..%d, all parts k, all arms j<k" % n, rows()
 
 
 @_register("prop-6-4",
            "hook multiset equals the part multiset with duplication",
-           {"n": 12}, {"n": 0}, ("n",))
+           {"n": 12}, {"n": 0})
 def _check_prop_6_4(n):
-    rng = "n=0..%d" % n
-    for m in range(n + 1):
-        ha = hook_multiset_all(m)
-        gd = parts_multiset_duplicated(m)
-        if ha != gd:
-            for v in sorted(set(ha) | set(gd)):
-                if ha.get(v, 0) != gd.get(v, 0):
-                    return False, rng, _mm("n=%d value=%d" % (m, v),
-                                           Fraction(ha.get(v, 0)),
-                                           Fraction(gd.get(v, 0)))
-    return True, rng, None
+    def rows():
+        for m in range(n + 1):
+            ha, gd = hook_multiset_all(m), parts_multiset_duplicated(m)
+            for v in sorted(ha.keys() | gd.keys()):
+                yield "n=%d value=%d" % (m, v), ha[v], gd[v]
+    return "n=0..%d" % n, rows()
 
 
 @_register("cor-6-7",
            "total parts = reciprocal-hook sum; divisor convolution and m-sum forms",
-           {"N": 25}, {"N": 0}, ("N",))
+           {"N": 25}, {"N": 0})
 def _check_cor_6_7(N):
-    rng = "x^0..x^%d, four routes" % N
     conv = partition_gf(N) * divisor_power_gf(0, N)
     msum = [0] * (N + 1)
     prodarr = [1] + [0] * N
@@ -476,47 +433,33 @@ def _check_cor_6_7(N):
         geometric_divide(prodarr, j)
         for i in range(j, N + 1):
             msum[i] += j * prodarr[i - j]
-    for m in range(N + 1):
-        total_parts = sum(len(parts) for parts in partition_tuples(m))
-        hooks_form = hook_power_moment(m, -1)
-        if hooks_form != total_parts:
-            return False, rng, _mm("x^%d (hooks vs parts)" % m,
-                                   hooks_form, Fraction(total_parts))
-        if conv[m] != total_parts:
-            return False, rng, _mm("x^%d (divisor convolution)" % m,
-                                   conv[m], Fraction(total_parts))
-        if msum[m] != total_parts:
-            return False, rng, _mm("x^%d (m-sum form)" % m,
-                                   Fraction(msum[m]), Fraction(total_parts))
-    return True, rng, None
+    parts = [sum(map(len, partition_tuples(m))) for m in range(N + 1)]
+    hooks = [hook_power_moment(m, -1) for m in range(N + 1)]
+    return "x^0..x^%d, four routes" % N, _by_degree(
+        _coefficients("x^%d (hooks vs parts)", hooks, parts),
+        _coefficients("x^%d (divisor convolution)", conv, parts),
+        _coefficients("x^%d (m-sum form)", msum, parts))
 
 
 @_register("prop-6-8",
            "unordered pairs of distinct cells, reciprocal squared hooks",
-           {"N": 25}, {"N": 0}, ("N",))
+           {"N": 25}, {"N": 0})
 def _check_prop_6_8(N):
-    rng = "x^0..x^%d" % N
     lg = log_euler_sum(N)
-    rhs = partition_gf(N) * lg * lg * Fraction(1, 2)
-    for m in range(N + 1):
-        lhs = (hook_power_moment2(m, -2) - hook_power_moment(m, -4)) / 2
-        if lhs != rhs[m]:
-            return False, rng, _mm("x^%d" % m, lhs, rhs[m])
-    return True, rng, None
+    return "x^0..x^%d" % N, _coefficients(
+        "x^%d", [(hook_power_moment2(m, -2) - hook_power_moment(m, -4)) / 2
+                 for m in range(N + 1)],
+        partition_gf(N) * lg * lg * Fraction(1, 2))
 
 
 @_register("thm-6-9",
            "square of the reciprocal-squared-hook sum",
-           {"N": 25}, {"N": 0}, ("N",))
+           {"N": 25}, {"N": 0})
 def _check_thm_6_9(N):
-    rng = "x^0..x^%d" % N
     lg = log_euler_sum(N)
-    rhs = partition_gf(N) * (divisor_power_gf(-3, N) + lg * lg)
-    for m in range(N + 1):
-        lhs = hook_power_moment2(m, -2)
-        if lhs != rhs[m]:
-            return False, rng, _mm("x^%d" % m, lhs, rhs[m])
-    return True, rng, None
+    return "x^0..x^%d" % N, _coefficients(
+        "x^%d", [hook_power_moment2(m, -2) for m in range(N + 1)],
+        partition_gf(N) * (divisor_power_gf(-3, N) + lg * lg))
 
 
 def _hook_moment(m, k):
@@ -535,19 +478,14 @@ def _hook_moment(m, k):
 
 
 def _moment_closed_form(n, k, closed):
-    """Compare _hook_moment(m, k) with the closed form closed(m), m <= n."""
-    rng = "n=0..%d" % n
-    for m in range(n + 1):
-        lhs = _hook_moment(m, k)
-        rhs = closed(m)
-        if lhs != rhs:
-            return False, rng, _mm("n=%d" % m, Fraction(lhs), Fraction(rhs))
-    return True, rng, None
+    """Rows comparing _hook_moment(m, k) with the closed form closed(m)."""
+    return "n=0..%d" % n, (("n=%d" % m, _hook_moment(m, k), closed(m))
+                           for m in range(n + 1))
 
 
 @_register("marked-hook",
            "tableau-squared-weighted sum of squared hooks, closed form",
-           {"n": 10}, {"n": 0}, ("n",))
+           {"n": 10}, {"n": 0})
 def _check_marked_hook(n):
     return _moment_closed_form(
         n, 1, lambda m: m * (3 * m - 1) // 2 * factorial(m))
@@ -555,7 +493,7 @@ def _check_marked_hook(n):
 
 @_register("prop-6-11",
            "tableau-squared-weighted pairs of squared hooks, closed form",
-           {"n": 8}, {"n": 0}, ("n",))
+           {"n": 8}, {"n": 0})
 def _check_prop_6_11(n):
     return _moment_closed_form(
         n, 2, lambda m: Fraction(m * (m - 1) * (27 * m * m - 67 * m + 74), 24)
@@ -564,7 +502,7 @@ def _check_prop_6_11(n):
 
 @_register("prop-6-12",
            "tableau-squared-weighted triples of squared hooks, closed form",
-           {"n": 8}, {"n": 2}, ("n",))
+           {"n": 8}, {"n": 2})
 def _check_prop_6_12(n):
     return _moment_closed_form(
         n, 3, lambda m: Fraction(m * (m - 1) * (m - 2)
@@ -574,9 +512,8 @@ def _check_prop_6_12(n):
 
 @_register("kostant-poly",
            "coefficient polynomials of the s-th Euler power, three routes",
-           {"k": 4}, {"k": 2}, ("k",))
+           {"k": 4}, {"k": 2})
 def _check_kostant_poly(k):
-    rng = "k=0..%d, closed forms for k in {2,3,4}" % k
     s = BetaPoly.beta()
     closed = {
         2: s * (s - 3) * Fraction(1, 2),
@@ -584,75 +521,61 @@ def _check_kostant_poly(k):
         4: s * (s - 1) * (s - 3) * (s - 14) * Fraction(1, 24),
     }
     EF = euler_power_formal(k)
-    for kk in range(k + 1):
-        f_exp = EF[kk].subst_linear(1, 1)  # beta = s + 1
-        # partition route: f_k(s) = sum over partitions of k of
-        # prod (1 - (s + 1) / h^2)
-        f_part = sum(map(hook_beta_poly_of, partition_tuples(kk)),
-                     BetaPoly()).subst_linear(1, 1)
-        if f_exp != f_part:
-            return False, rng, _mm("k=%d (series vs partition routes)" % kk,
-                                   f_exp, f_part)
-        if kk in closed and f_exp != closed[kk]:
-            return False, rng, _mm("k=%d (closed form)" % kk, f_exp, closed[kk])
-    return True, rng, None
+
+    def rows():
+        for kk in range(k + 1):
+            f_exp = EF[kk].subst_linear(1, 1)  # beta = s + 1
+            # partition route: f_k(s) = sum over partitions of k of
+            # prod (1 - (s + 1) / h^2)
+            f_part = sum(map(hook_beta_poly_of, partition_tuples(kk)),
+                         BetaPoly()).subst_linear(1, 1)
+            yield "k=%d (series vs partition routes)" % kk, f_exp, f_part
+            if kk in closed:
+                yield "k=%d (closed form)" % kk, f_exp, closed[kk]
+    return "k=0..%d, closed forms for k in {2,3,4}" % k, rows()
 
 
 @_register("kostant-sign",
            "sign of Euler-power coefficients past the square boundary, "
            "with non-negative summand certificates",
-           {"k": 8}, {"k": 1}, ("k",))
+           {"k": 8}, {"k": 1})
 def _check_kostant_sign(k):
-    rng = ("k=1..%d, s in {k^2-1, k^2, k^2+1/2, 2k^2}; certificate at s=k^2-1" % k)
-    for kk in range(1, k + 1):
-        grid = [Fraction(kk * kk - 1), Fraction(kk * kk),
-                Fraction(2 * kk * kk + 1, 2), Fraction(2 * kk * kk)]
-        sign = (-1) ** kk
-        for s in grid:
-            ws = [sign * hook_eval_product(parts, s + 1)
-                  for parts in partition_tuples(kk)]
-            total = sum(ws, Fraction(0))
-            via_series = sign * euler_power(s, kk)[kk]
-            if total != via_series:
-                return False, rng, _mm("k=%d s=%s (routes)" % (kk, s),
-                                       total, via_series)
-            if s == kk * kk - 1:
-                if any(w < 0 for w in ws):
-                    bad = min(w for w in ws)
-                    return False, rng, _mm("k=%d s=%s certificate" % (kk, s),
-                                           bad, ">= 0")
-                if kk >= 4:
-                    if not any(w > 0 for w in ws) or not total > 0:
-                        return False, rng, _mm("k=%d s=%s strict" % (kk, s),
-                                               total, "> 0")
-                elif total != 0:
+    def rows():
+        for kk in range(1, k + 1):
+            sign = (-1) ** kk
+            for s in (Fraction(kk * kk - 1), Fraction(kk * kk),
+                      Fraction(2 * kk * kk + 1, 2), Fraction(2 * kk * kk)):
+                at = "k=%d s=%s" % (kk, s)
+                ws = [sign * hook_eval_product(parts, s + 1)
+                      for parts in partition_tuples(kk)]
+                total = sum(ws, Fraction(0))
+                yield at + " (routes)", total, sign * euler_power(s, kk)[kk]
+                boundary = s == kk * kk - 1
+                if boundary and min(ws) < 0:
+                    yield at + " certificate", min(ws), ">= 0"
+                elif boundary and kk < 4:
                     # below k=4 every summand vanishes on the boundary
-                    return False, rng, _mm("k=%d s=%s boundary" % (kk, s),
-                                           total, "0")
-            elif not total > 0:
-                return False, rng, _mm("k=%d s=%s sign" % (kk, s), total, "> 0")
-    return True, rng, None
+                    yield at + " boundary", total, 0
+                elif not total > 0:  # a positive total has a positive summand
+                    yield at + (" strict" if boundary else " sign"), total, "> 0"
+    return ("k=1..%d, s in {k^2-1, k^2, k^2+1/2, 2k^2}; certificate at s=k^2-1" % k,
+            rows())
 
 
 @_register("cauchy-special",
            "principal specialization of the Schur expansion of the d-fold "
            "inverse Euler product",
-           {"d": (1, 2, 3), "N": 12}, {"N": 0}, ("N",))
+           {"d": (1, 2, 3), "N": 12}, {"N": 0})
 def _check_cauchy_special(d, N):
-    ds = _t_tuple(d)
-    rng = "d in %s, x^0..x^%d" % (list(ds), N)
-    for dd in ds:
-        rhs = euler_power(-dd, N)
-        tot = Series.zero(N)
-        for m in range(N + 1):
-            for parts in partition_tuples(m):
-                if len(parts) > dd or m + b_stat_of(parts) > N:
-                    continue
-                tot = tot + schur_principal_x(parts, N) * schur_principal_ones(parts, dd)
-        for n in range(N + 1):
-            if tot[n] != rhs[n]:
-                return False, rng, _mm("d=%d x^%d" % (dd, n), tot[n], rhs[n])
-    return True, rng, None
+    def schur_total(dd):
+        return sum((schur_principal_x(parts, N) * schur_principal_ones(parts, dd)
+                    for m in range(N + 1) for parts in partition_tuples(m)
+                    if len(parts) <= dd and m + b_stat_of(parts) <= N),
+                   Series.zero(N))
+    return "d in %s, x^0..x^%d" % (list(d), N), (
+        row for dd in d
+        for row in _coefficients("d=%d x^%%d" % dd, schur_total(dd),
+                                 euler_power(-dd, N)))
 
 
 def _beta_samples(N):
@@ -661,50 +584,45 @@ def _beta_samples(N):
     return [Fraction(j, 2) - 2 for j in range(N + 3)]
 
 
-def _content_hook_series(parts, beta, N, content_shift=0):
-    """x^(|.|+b) * prod (content + shift - beta) / (h (1 - x^h)), exactly."""
+def _content_hook_total(beta, N, content_shift):
+    """Sum over partitions of x^(|.|+b) * prod (content + shift - beta) /
+    (h (1 - x^h)), exactly, to order N."""
     p, q = beta.numerator, beta.denominator
-    m = sum(parts)
-    num = 1
-    for c in contents_of(parts):
-        num *= q * (c + content_shift) - p
-    if not num:
-        return None
-    den = q ** m
-    for h in hooks_of(parts):
-        den *= h
-    return schur_principal_x(parts, N) * Fraction(num, den)
+    tot = Series.zero(N)
+    for m in range(N + 1):
+        for parts in partition_tuples(m):
+            if m + b_stat_of(parts) > N:
+                continue
+            num = prod(q * (c + content_shift) - p for c in contents_of(parts))
+            if num:
+                den = q ** m * prod(hooks_of(parts))
+                tot = tot + schur_principal_x(parts, N) * Fraction(num, den)
+    return tot
+
+
+def _beta_sampled(N, content_shift, other_side):
+    """Rows comparing the content-hook total with other_side(beta) at each
+    beta sample."""
+    samples = _beta_samples(N)
+    return ("x^0..x^%d at %d rational beta samples" % (N, len(samples)), (
+        row for b0 in samples
+        for row in _coefficients("beta=%s x^%%d" % b0,
+                                 _content_hook_total(b0, N, content_shift),
+                                 other_side(b0))))
 
 
 @_register("thm-8-3",
            "Schur-type expansion of an arbitrary Euler power, sampled in beta",
-           {"N": 12}, {"N": 0}, ("N",))
+           {"N": 12}, {"N": 0})
 def _check_thm_8_3(N):
-    samples = _beta_samples(N)
-    rng = "x^0..x^%d at %d rational beta samples" % (N, len(samples))
-    for b0 in samples:
-        lhs = euler_power(b0, N)
-        tot = Series.zero(N)
-        for m in range(N + 1):
-            for parts in partition_tuples(m):
-                if m + b_stat_of(parts) > N:
-                    continue
-                term = _content_hook_series(parts, b0, N)
-                if term is not None:
-                    tot = tot + term
-        for n in range(N + 1):
-            if tot[n] != lhs[n]:
-                return False, rng, _mm("beta=%s x^%d" % (b0, n), tot[n], lhs[n])
-    return True, rng, None
+    return _beta_sampled(N, 0, lambda beta: euler_power(beta, N))
 
 
 @_register("euler-cor-8-4",
            "alternating column expansion of the Euler product",
-           {"N": 30}, {"N": 0}, ("N",))
+           {"N": 30}, {"N": 0})
 def _check_euler_cor_8_4(N):
-    rng = "x^0..x^%d" % N
     pent = pentagonal_series(N)
-    eul = euler_power(1, N)
     acc = [0] * (N + 1)
     acc[0] = 1
     prodarr = [1] + [0] * N
@@ -716,69 +634,42 @@ def _check_euler_cor_8_4(N):
         for i in range(N - e + 1):
             acc[e + i] += sign * prodarr[i]
         r += 1
-    for m in range(N + 1):
-        if acc[m] != pent[m]:
-            return False, rng, _mm("x^%d (column sum vs sparse)" % m,
-                                   Fraction(acc[m]), pent[m])
-        if pent[m] != eul[m]:
-            return False, rng, _mm("x^%d (sparse vs exp)" % m, pent[m], eul[m])
-    return True, rng, None
+    return "x^0..x^%d" % N, _by_degree(
+        _coefficients("x^%d (column sum vs sparse)", acc, pent),
+        _coefficients("x^%d (sparse vs exp)", pent, euler_power(1, N)))
 
 
 @_register("magic",
            "two hook expansions of the same series, sampled in beta",
-           {"N": 12}, {"N": 0}, ("N",))
+           {"N": 12}, {"N": 0})
 def _check_magic(N):
-    samples = _beta_samples(N)
-    rng = "x^0..x^%d at %d rational beta samples" % (N, len(samples))
-    for b0 in samples:
-        tot = Series.zero(N)
-        for m in range(N + 1):
-            for parts in partition_tuples(m):
-                if m + b_stat_of(parts) > N:
-                    continue
-                term = _content_hook_series(parts, b0, N, content_shift=1)
-                if term is not None:
-                    tot = tot + term
-        for n, rhs in enumerate(hook_beta_sums(N, b0)):
-            if tot[n] != rhs:
-                return False, rng, _mm("beta=%s x^%d" % (b0, n), tot[n], rhs)
-    return True, rng, None
+    return _beta_sampled(N, 1, lambda beta: hook_beta_sums(N, beta))
 
 
 @_register("reversion",
            "compositional inverse of x times the Euler product",
-           {"N": 20}, {"N": 1}, ("N",))
+           {"N": 20}, {"N": 1})
 def _check_reversion(N):
-    rng = "x^0..x^%d, hook-sum vs fixed-point routes, substitution" % N
     a = revert_euler(N, method="lagrange")
     b = revert_euler(N, method="iterate")
-    for n in range(N + 1):
-        if a[n] != b[n]:
-            return False, rng, _mm("x^%d (routes)" % n, a[n], b[n])
-    sub = pentagonal_series(N).compose(a) * a
-    x = Series.x(N)
-    for n in range(N + 1):
-        if sub[n] != x[n]:
-            return False, rng, _mm("x^%d (substitution)" % n, sub[n], x[n])
     prefix = [0, 1, 1, 3, 10, 38, 153, 646]
-    for n in range(min(N, 7) + 1):
-        if a[n] != prefix[n]:
-            return False, rng, _mm("x^%d (known prefix)" % n, a[n],
-                                   Fraction(prefix[n]))
-    return True, rng, None
+    return ("x^0..x^%d, hook-sum vs fixed-point routes, substitution" % N, chain(
+        _coefficients("x^%d (routes)", a, b),
+        _coefficients("x^%d (substitution)",
+                      pentagonal_series(N).compose(a) * a, Series.x(N)),
+        _coefficients("x^%d (known prefix)", a.coeffs[:len(prefix)],
+                      prefix[:N + 1])))
 
 
 @_register("cor-9-2",
            "scaled reversion hook sums are positive integers",
-           {"n": 15}, {"n": 0}, ("n",))
+           {"n": 15}, {"n": 0})
 def _check_cor_9_2(n):
-    rng = "n=0..%d" % n
-    for m, poly in enumerate(hook_beta_sums_poly(n)):
-        val = poly.eval(-m) / (m + 1)
-        if val.denominator != 1 or val <= 0:
-            return False, rng, _mm("n=%d" % m, val, "positive integer")
-    return True, rng, None
+    vals = (poly.eval(-m) / (m + 1)
+            for m, poly in enumerate(hook_beta_sums_poly(n)))
+    return "n=0..%d" % n, (("n=%d" % m, val, "positive integer")
+                           for m, val in enumerate(vals)
+                           if val.denominator != 1 or val <= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -798,14 +689,12 @@ def verify(check_id, params=None):
             value = (value,)
         merged[key] = value
     start = time.perf_counter()
-    ok, rng, mismatch = entry.fn(**merged)
+    rng, mismatch = entry.fn(**merged)
     elapsed = (time.perf_counter() - start) * 1000.0
-    if (mismatch is None) != bool(ok):
-        raise RuntimeError("%s: status and first_mismatch disagree" % check_id)
     return VerificationReport(
         id=check_id,
         params=merged,
-        status="pass" if ok else "fail",
+        status="pass" if mismatch is None else "fail",
         checked_range=rng,
         first_mismatch=mismatch,
         elapsed_ms=round(elapsed, 3),
@@ -816,8 +705,7 @@ def budget_params(entry, order_budget):
     """Default parameters, with range-type ones clamped to the budget."""
     params = dict(entry.defaults)
     if order_budget is not None:
-        for key in entry.range_params:
-            floor = entry.minimal.get(key, 0)
+        for key, floor in entry.minimal.items():
             params[key] = max(floor, min(params[key], order_budget))
     return params
 

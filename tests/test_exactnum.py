@@ -61,7 +61,7 @@ def test_betapoly_eval_tau_coefficient():
 
 def test_betapoly_zero_and_pow():
     z = BetaPoly()
-    assert z.is_zero and not z
+    assert not z
     assert z.degree == -1
     b = BetaPoly.beta()
     assert b ** 0 == BetaPoly.constant(1)

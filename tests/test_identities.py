@@ -1,9 +1,11 @@
 import json
+from math import factorial
 
 import pytest
 
 from hookexp import identities
 from hookexp.partition import hooks_of, partition_tuples, syt_count_of
+from hookexp.series import Series, euler_power_formal
 from hookexp.identities import (
     REGISTRY,
     VerificationReport,
@@ -38,7 +40,7 @@ def test_registry_entries_have_descriptions_and_defaults():
         assert entry.id == cid
         assert entry.description
         assert isinstance(entry.defaults, dict) and entry.defaults
-        for key in entry.range_params:
+        for key in entry.minimal:
             assert key in entry.defaults
 
 
@@ -228,3 +230,125 @@ def test_sweep_sits_on_one_side_of_each_check(monkeypatch):
         verify("reversion", {"N": 6})
     monkeypatch.undo()
     assert all(verify(cid, params).ok for cid, params in SWEEP_CHECKS.items())
+
+
+def _bump_coefficient(at):
+    """Wrap a series- or list-valued route so its coefficient `at` is one
+    higher; the route's own result, which may be cached, is not touched."""
+    def wrap(fn):
+        def skewed(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            coeffs = list(out if isinstance(out, list) else out.coeffs)
+            if len(coeffs) > at:
+                coeffs[at] += 1
+            return coeffs if isinstance(out, list) else Series(coeffs)
+        return skewed
+    return wrap
+
+
+def _bump_value(fn):
+    return lambda *args: fn(*args) + 1
+
+
+# (check, params, {route: wrapper}, first mismatch location): the rows of a
+# multi-route check run degree by degree, and within a degree route by route
+MULTI_ROUTE_SKEWS = [
+    ("jacobi-beta4", {"N": 6}, {"euler_power": _bump_coefficient(3)},
+     "x^3 (sparse vs exp)"),
+    ("jacobi-beta4", {"N": 6}, {"hook_beta_sums": _bump_coefficient(3)},
+     "x^3 (hook sum vs sparse)"),
+    ("jacobi-beta4", {"N": 6}, {"hook_beta_sums": _bump_coefficient(3),
+                                "jacobi_cube_series": _bump_coefficient(4)},
+     "x^3 (hook sum vs sparse)"),
+    ("jacobi-beta4", {"N": 6}, {"hook_beta_sums": _bump_coefficient(3),
+                                "euler_power": _bump_coefficient(3)},
+     "x^3 (sparse vs exp)"),
+    ("jacobi-beta4", {"N": 6}, {"hook_eval_product": _bump_value},
+     "staircase m=1"),
+    ("eta8-beta9", {"N": 6}, {"eta8_double_sum": _bump_coefficient(2)},
+     "x^2 (double sum vs exp)"),
+    ("eta8-beta9", {"N": 6}, {"euler_power": _bump_coefficient(2)},
+     "x^2 (double sum vs exp)"),
+    ("eta8-beta9", {"N": 6}, {"hook_eval_product": _bump_value},
+     "x^0 (3-core sum vs double sum)"),
+    # the divisor series of the convolution starts at x^1
+    ("cor-6-7", {"N": 6}, {"partition_gf": _bump_coefficient(3)},
+     "x^4 (divisor convolution)"),
+    ("cor-6-7", {"N": 6}, {"hook_power_moment": _bump_value},
+     "x^0 (hooks vs parts)"),
+    ("cor-6-7", {"N": 6}, {"partition_gf": _bump_coefficient(0),
+                           "hook_power_moment": _bump_value},
+     "x^0 (hooks vs parts)"),
+    ("euler-cor-8-4", {"N": 8}, {"pentagonal_series": _bump_coefficient(4)},
+     "x^4 (column sum vs sparse)"),
+    ("euler-cor-8-4", {"N": 8}, {"euler_power": _bump_coefficient(4)},
+     "x^4 (sparse vs exp)"),
+    ("reversion", {"N": 6}, {"pentagonal_series": _bump_coefficient(2)},
+     "x^3 (substitution)"),
+    ("kostant-poly", {"k": 4}, {"euler_power_formal": _bump_coefficient(3)},
+     "k=3 (series vs partition routes)"),
+    ("kostant-poly", {"k": 4}, {"hook_beta_poly_of": _bump_value},
+     "k=0 (series vs partition routes)"),
+    ("phi-v-theorem", {"n": 4, "t": (3,)}, {"core_weight_from_v": _bump_value},
+     "t=3 core= weight"),
+    ("phi-v-theorem", {"n": 4, "t": (3,)}, {"core_product_from_v": _bump_value},
+     "t=3 core= product"),
+    ("kostant-sign", {"k": 3}, {"euler_power": _bump_coefficient(1)},
+     "k=1 s=0 (routes)"),
+    ("kostant-sign", {"k": 3}, {"euler_power": _bump_coefficient(2)},
+     "k=2 s=3 (routes)"),
+]
+
+
+@pytest.mark.parametrize("cid, params, skews, location", MULTI_ROUTE_SKEWS)
+def test_multi_route_check_reports_its_first_mismatch(monkeypatch, cid, params,
+                                                      skews, location):
+    for name, wrap in skews.items():
+        monkeypatch.setattr(identities, name, wrap(getattr(identities, name)))
+    report = verify(cid, params)
+    assert report.status == "fail"
+    assert report.first_mismatch["location"] == location
+
+
+@pytest.mark.parametrize("skewed_methods, location", [
+    (("iterate",), "x^3 (routes)"),
+    (("lagrange",), "x^3 (routes)"),
+    (("lagrange", "iterate"), "x^3 (substitution)"),
+])
+def test_reversion_reports_its_first_mismatch(monkeypatch, skewed_methods,
+                                              location):
+    real = identities.revert_euler
+    skewed = _bump_coefficient(3)(real)
+
+    def revert(order, method):
+        return (skewed if method in skewed_methods else real)(order, method=method)
+    monkeypatch.setattr(identities, "revert_euler", revert)
+    report = verify("reversion", {"N": 6})
+    assert report.status == "fail"
+    assert report.first_mismatch["location"] == location
+
+
+@pytest.mark.parametrize("side", ["hook_beta_sums", "pentagonal_series"])
+def test_a_short_side_raises_instead_of_passing(monkeypatch, side):
+    # one coefficient fewer on either side must not shorten the comparison;
+    # IndexError, not ValueError (which the CLI reports as a usage error)
+    real = getattr(identities, side)
+
+    def short(*args):
+        out = real(*args)
+        return out[:-1] if isinstance(out, list) else Series(out.coeffs[:-1])
+    monkeypatch.setattr(identities, side, short)
+    with pytest.raises(IndexError):
+        verify("pentagonal-beta2", {"N": 8})
+
+
+def test_hook_moments_match_the_euler_power_series():
+    # sum f^2 e_k(h^2) = (-1)^(m-k) m!^2 [beta^(m-k)] a_m(beta), a_m the
+    # coefficient m of prod (1 - x^j)^(beta - 1): f^2 / m!^2 = 1 / prod h^2
+    formal = euler_power_formal(14)
+    for m in range(15):
+        for k in range(min(m, 5) + 1):
+            want = (-1) ** (m - k) * factorial(m) ** 2 \
+                * formal[m].coefficient(m - k)
+            assert identities._hook_moment(m, k) == want, (m, k)
+    assert identities._hook_moment(3, 3) == 108
