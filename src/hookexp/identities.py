@@ -23,7 +23,6 @@ verify() runs one entry; verify_all() runs the whole registry at default
 import json
 import os
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import factorial, prod
@@ -81,14 +80,25 @@ from .tcore import (
 WORKERS_ENV = "HOOKEXP_WORKERS"
 
 
-@dataclass
 class VerificationReport:
-    id: str
-    params: dict
-    status: str
-    checked_range: str
-    first_mismatch: dict
-    elapsed_ms: float
+    """The outcome of one registry entry: status "pass" or "fail", the range
+    checked, the first mismatch (or None) and the wall time of the check."""
+
+    __slots__ = ("id", "params", "status", "checked_range", "first_mismatch",
+                 "elapsed_ms")
+
+    def __init__(self, id, params, status, checked_range, first_mismatch,
+                 elapsed_ms):
+        self.id = id
+        self.params = params
+        self.status = status
+        self.checked_range = checked_range
+        self.first_mismatch = first_mismatch
+        self.elapsed_ms = elapsed_ms
+
+    def __repr__(self):
+        return "VerificationReport(%s)" % ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
 
     @property
     def ok(self):
@@ -314,7 +324,13 @@ def _t_cores(t, n, start=0):
 
 def _u_ratio(u, t):
     """prod over j >= 1 of (u_j + t) / u_j, for the U-coding u of a t-core."""
-    return prod(Fraction(uj + t, uj) for uj in u[1:])
+    return Fraction(prod(uj + t for uj in u[1:]), prod(u[1:]))
+
+
+def _positive_hook_ratio(elements, t):
+    """prod over the positive a in an H-set of 1 - t^2/a^2."""
+    pos = [a for a in elements if a > 0]
+    return Fraction(prod(a * a - t * t for a in pos), prod(pos) ** 2)
 
 
 @_register("gks-weight",
@@ -344,8 +360,7 @@ def _check_phi_v_theorem(n, t):
            {"n": 25, "t": (3, 5, 7)}, {"n": 0})
 def _check_lemma_5_5(n, t):
     return "all t-cores of n=0..%d, t in %s" % (n, list(t)), (
-        (at, prod(1 - Fraction(tt * tt, a * a)
-                  for a in h_set(core, tt).elements if a > 0),
+        (at, _positive_hook_ratio(h_set(core, tt).elements, tt),
          _u_ratio(u_coding(core, tt), tt))
         for tt, m, core, at in _t_cores(t, n))
 
@@ -584,30 +599,47 @@ def _beta_samples(N):
     return [Fraction(j, 2) - 2 for j in range(N + 3)]
 
 
-def _content_hook_total(beta, N, content_shift):
-    """Sum over partitions of x^(|.|+b) * prod (content + shift - beta) /
-    (h (1 - x^h)), exactly, to order N."""
+def _content_hook_terms(N, content_shift):
+    """The beta-free part of each term of _content_hook_total, for the
+    partitions with |.| + b <= N: (m, contents + shift, N!/prod h, the int
+    coefficients of x^(m+b) / prod (1 - x^h) to order N)."""
+    fact = factorial(N)
+    return [(m, [c + content_shift for c in contents_of(parts)],
+             fact // prod(hooks_of(parts)), schur_principal_x(parts, N).coeffs)
+            for m in range(N + 1) for parts in partition_tuples(m)
+            if m + b_stat_of(parts) <= N]
+
+
+def _content_hook_total(beta, N, terms):
+    """Coefficients x^0..x^N of the sum over partitions of
+    x^(|.|+b) * prod (content + shift - beta) / (h (1 - x^h)), exactly, from
+    the terms of _content_hook_terms(N, shift).
+
+    Term m has denominator q^m prod h, which divides q^N N!, so the sum is
+    taken in ints over that common denominator and divided once at the end.
+    """
     p, q = beta.numerator, beta.denominator
-    tot = Series.zero(N)
-    for m in range(N + 1):
-        for parts in partition_tuples(m):
-            if m + b_stat_of(parts) > N:
-                continue
-            num = prod(q * (c + content_shift) - p for c in contents_of(parts))
-            if num:
-                den = q ** m * prod(hooks_of(parts))
-                tot = tot + schur_principal_x(parts, N) * Fraction(num, den)
-    return tot
+    acc = [0] * (N + 1)
+    for m, contents, weight, coeffs in terms:
+        num = prod(q * c - p for c in contents)
+        if num:
+            scale = num * weight * q ** (N - m)
+            for k, a in enumerate(coeffs):
+                if a:
+                    acc[k] += scale * a
+    den = q ** N * factorial(N)
+    return [Fraction(a, den) for a in acc]
 
 
 def _beta_sampled(N, content_shift, other_side):
     """Rows comparing the content-hook total with other_side(beta) at each
     beta sample."""
     samples = _beta_samples(N)
+    terms = _content_hook_terms(N, content_shift)
     return ("x^0..x^%d at %d rational beta samples" % (N, len(samples)), (
         row for b0 in samples
         for row in _coefficients("beta=%s x^%%d" % b0,
-                                 _content_hook_total(b0, N, content_shift),
+                                 _content_hook_total(b0, N, terms),
                                  other_side(b0))))
 
 

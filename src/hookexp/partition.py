@@ -12,7 +12,7 @@ Fast paths work on plain tuples (`partition_tuples`, `hooks_of`, ...); the
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import repeat
 from math import factorial, lcm, prod
 from operator import ge, mul
 
@@ -22,22 +22,45 @@ from .exactnum import BetaPoly
 # ---------------------------------------------------------------------------
 # enumeration and counting
 
-def _gen_desc(remaining, cap):
-    # parts of `remaining`, each <= cap, in reverse-lexicographic order
-    if remaining == 0:
-        yield ()
-        return
-    for first in range(min(remaining, cap), 0, -1):
-        for rest in _gen_desc(remaining - first, first):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=None)
 def partition_tuples(n):
-    """All partitions of n as tuples, reverse-lexicographic (largest first)."""
+    """All partitions of n as tuples, reverse-lexicographic (largest first).
+
+    Each partition follows from the last by the reverse-lexicographic
+    successor (algorithm ZS1 of Zoghbi and Stojmenovic): the last part
+    above 1, x[h], drops by one to r, and the cells it freed together with
+    the trailing ones are refilled by parts of r and a remainder.  Past
+    index h the list holds only ones, so nothing needs clearing.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return tuple(_gen_desc(n, n)) if n else ((),)
+    if not n:
+        return ((),)
+    x = [1] * n
+    x[0] = n
+    m, h = 1, 0  # length, index of the last part above 1
+    out = [(n,)]
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            m += 1
+            h -= 1
+        else:
+            r = x[h] - 1
+            t = m - h  # cells to refill after x[h] = r
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            m = h + 1
+            if t:
+                m += 1
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        out.append(tuple(x[:m]))
+    return tuple(out)
 
 
 def enumerate_partitions(n):
@@ -209,9 +232,16 @@ def _hook_sweep(N, cell):
     L - j + mu'_j + 1 for j = 1..L, read from the column lengths mu'
     (adding the largest bead of a beta-set, Macdonald I.1).  Each prefix
     is shared by all its extensions, the stack holds O(N) values and no
-    partition table is built.  Conjugation keeps the hooks, so a partition
-    with mu_1 > rows counts twice, one with mu_1 = rows once, and a branch
-    that holds only partitions with mu_1 < rows is not entered.
+    partition table is built.
+
+    Conjugation keeps the hooks, so only the tall member of each conjugate
+    pair is summed: a partition with mu_1 < rows counts twice, one with
+    mu_1 = rows once, and one with mu_1 > rows not at all.  A node pays
+    its new row's length in cells, so the tall member is the cheap one.
+    A child of top row L needs at least L - rows - 1 more rows, of at
+    least L cells each, before it is tall; it is entered only while they
+    fit, and since that need grows with L the first L that fails ends the
+    loop.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -220,13 +250,12 @@ def _hook_sweep(N, cell):
     cols = [0] * N  # mu'_j at cols[j - 1]
 
     def grow(n, top, rows, hook_prod, P):
-        if top >= rows:
+        if top <= rows:
             f = fact[n] // hook_prod
             sums[n] += (f * f if top == rows else 2 * f * f) * P
-        # a narrow child (L <= rows) is entered only if a row of rows + 2,
-        # which its first wide descendant needs, still fits on it
-        for L in chain(range(max(top, 1), min(rows, N - n - rows - 2) + 1),
-                       range(max(top, rows + 1), N - n + 1)):
+        for L in range(max(top, 1), N - n + 1):
+            if (L - rows - 1) * L > N - n - L:
+                break
             H, Q = hook_prod, P
             for j in range(L):
                 h = L - j + cols[j]

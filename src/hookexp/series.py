@@ -459,14 +459,15 @@ def geometric_divide(arr, h):
 
 
 def schur_principal_x(parts, order):
-    """s_lambda(x, x^2, x^3, ...) truncated: x^(|. | + b) / prod (1 - x^h)."""
+    """s_lambda(x, x^2, x^3, ...) truncated: x^(|. | + b) / prod (1 - x^h),
+    a series with int coefficients."""
     shift = sum(parts) + b_stat_of(parts)
     arr = [0] * (order + 1)
     if shift <= order:
         arr[shift] = 1
         for h in hooks_of(parts):
             geometric_divide(arr, h)
-    return Series([Fraction(a) for a in arr])
+    return Series(arr)
 
 
 def schur_principal_ones(parts, d):

@@ -21,7 +21,6 @@ polynomial in the codings: see core_weight_from_v / core_product_from_v.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -85,16 +84,39 @@ def validate_t_compact(elements, t):
                 raise ValueError("missing %d below positive element %d" % (e - t, e))
 
 
-@dataclass(frozen=True)
 class HSet:
-    """Extended first-column hook set of a t-core; t-compact by construction."""
+    """Extended first-column hook set of a t-core; t-compact by construction.
 
-    t: int
-    elements: frozenset
+    Immutable; two H-sets are equal when their t and elements are.
+    """
 
-    def __post_init__(self):
-        _require_coding_t(self.t)
-        validate_t_compact(self.elements, self.t)
+    __slots__ = ("t", "elements")
+
+    def __init__(self, t, elements):
+        _require_coding_t(t)
+        validate_t_compact(elements, t)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "elements", elements)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HSet is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("HSet is immutable")
+
+    def __reduce__(self):  # unpickling goes through __init__ and its checks
+        return HSet, (self.t, self.elements)
+
+    def __eq__(self, other):
+        if not isinstance(other, HSet):
+            return NotImplemented
+        return (self.t, self.elements) == (other.t, other.elements)
+
+    def __hash__(self):
+        return hash((self.t, self.elements))
+
+    def __repr__(self):
+        return "HSet(t=%r, elements=%r)" % (self.t, self.elements)
 
     def sorted_desc(self):
         return tuple(sorted(self.elements, reverse=True))

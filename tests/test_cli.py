@@ -387,3 +387,15 @@ def test_cores_decode_checks_survive_python_O():
         assert bad.returncode != 0, patch
         assert kind in bad.stderr and what in bad.stderr, bad.stderr
         assert bad.stdout == ""
+
+
+def test_cli_import_leaves_dataclasses_out():
+    # dataclasses pulls in inspect, about 11 ms of start-up per CLI process
+    import subprocess
+    import sys
+    code = ("import sys; before = set(sys.modules); import hookexp.cli; "
+            "print(sorted(set(sys.modules) - before))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert run.returncode == 0 and "hookexp.cli" in run.stdout
+    assert "'dataclasses'" not in run.stdout

@@ -1,11 +1,20 @@
 import json
-from math import factorial
+from fractions import Fraction
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hookexp import identities
-from hookexp.partition import hooks_of, partition_tuples, syt_count_of
-from hookexp.series import Series, euler_power_formal
+from hookexp.partition import (
+    b_stat_of,
+    contents_of,
+    hooks_of,
+    partition_tuples,
+    syt_count_of,
+)
+from hookexp.series import Series, euler_power_formal, schur_principal_x
+from hookexp.tcore import h_set, u_coding
 from hookexp.identities import (
     REGISTRY,
     VerificationReport,
@@ -250,6 +259,14 @@ def _bump_value(fn):
     return lambda *args: fn(*args) + 1
 
 
+def _bump_shape(shape, at):
+    """Like _bump_coefficient, for the route's result on one partition."""
+    def wrap(fn):
+        bumped = _bump_coefficient(at)(fn)
+        return lambda parts, *args: (bumped if parts == shape else fn)(parts, *args)
+    return wrap
+
+
 # (check, params, {route: wrapper}, first mismatch location): the rows of a
 # multi-route check run degree by degree, and within a degree route by route
 MULTI_ROUTE_SKEWS = [
@@ -297,6 +314,18 @@ MULTI_ROUTE_SKEWS = [
      "k=1 s=0 (routes)"),
     ("kostant-sign", {"k": 3}, {"euler_power": _bump_coefficient(2)},
      "k=2 s=3 (routes)"),
+    # the beta samples run -2, -3/2, -1, ...; a Schur term weighs in at a
+    # sample unless its content product vanishes there
+    ("thm-8-3", {"N": 4}, {"schur_principal_x": _bump_coefficient(3)},
+     "beta=-2 x^3"),
+    ("magic", {"N": 4}, {"schur_principal_x": _bump_coefficient(3)},
+     "beta=-2 x^3"),
+    # prod (c - beta) over (1,1,1) vanishes at beta = -2
+    ("thm-8-3", {"N": 8}, {"schur_principal_x": _bump_shape((1, 1, 1), 6)},
+     "beta=-3/2 x^6"),
+    # prod (c + 1 - beta) over (1,1,1,1) vanishes at beta = -2
+    ("magic", {"N": 10}, {"schur_principal_x": _bump_shape((1, 1, 1, 1), 10)},
+     "beta=-3/2 x^10"),
 ]
 
 
@@ -352,3 +381,39 @@ def test_hook_moments_match_the_euler_power_series():
                 * formal[m].coefficient(m - k)
             assert identities._hook_moment(m, k) == want, (m, k)
     assert identities._hook_moment(3, 3) == 108
+
+
+def _fraction_content_hook_total(beta, N, content_shift):
+    # the Fraction/Series form _content_hook_total replaced: one Series
+    # product and sum per partition
+    p, q = beta.numerator, beta.denominator
+    tot = Series.zero(N)
+    for m in range(N + 1):
+        for parts in partition_tuples(m):
+            if m + b_stat_of(parts) > N:
+                continue
+            num = prod(q * (c + content_shift) - p for c in contents_of(parts))
+            if num:
+                den = q ** m * prod(hooks_of(parts))
+                tot = tot + schur_principal_x(parts, N) * Fraction(num, den)
+    return tot
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 12),
+       st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+       st.sampled_from((0, 1)))
+def test_content_hook_total_matches_the_fraction_series_form(N, beta, shift):
+    terms = identities._content_hook_terms(N, shift)
+    assert identities._content_hook_total(beta, N, terms) == \
+        _fraction_content_hook_total(beta, N, shift).coeffs
+
+
+def test_integer_ratios_match_fraction_products():
+    for tt, m, core, at in identities._t_cores((3, 5, 7), 20):
+        u = u_coding(core, tt)
+        assert identities._u_ratio(u, tt) == \
+            prod(Fraction(uj + tt, uj) for uj in u[1:]), at
+        elements = h_set(core, tt).elements
+        assert identities._positive_hook_ratio(elements, tt) == \
+            prod(1 - Fraction(tt * tt, a * a) for a in elements if a > 0), at

@@ -43,6 +43,26 @@ def test_partitions_of_0_is_the_empty_partition():
     assert partition_tuples(0) == ((),)
 
 
+def _gen_desc(remaining, cap):
+    # the recursive generator that partition_tuples used before the
+    # successor loop: parts of `remaining`, each <= cap, reverse-lex
+    if remaining == 0:
+        yield ()
+        return
+    for first in range(min(remaining, cap), 0, -1):
+        for rest in _gen_desc(remaining - first, first):
+            yield (first,) + rest
+
+
+def test_partition_tuples_match_the_recursive_generator():
+    for n in range(31):
+        want = tuple(_gen_desc(n, n)) if n else ((),)
+        assert partition_tuples(n) == want, n
+        assert len(want) == partition_count(n)
+    with pytest.raises(ValueError):
+        partition_tuples(-1)
+
+
 def test_enumeration_count_matches_recurrence():
     # the pentagonal recurrence is an independent oracle for the counts
     for n in range(13):
@@ -294,6 +314,21 @@ def test_sweep_builds_no_partition_table(monkeypatch):
         monkeypatch.setattr(part, name, refuse)
     assert part.hook_beta_sums_poly(12) == SWEEP_POLYS[:13]
     assert part.hook_beta_sums(12, 7) == [p.eval(7) for p in SWEEP_POLYS[:13]]
+
+
+def test_sweep_walks_the_tall_member_of_each_conjugate_pair():
+    # one cell update per new-row cell of each node entered: the walk over
+    # the tall members (mu_1 <= rows) makes 254,536 at N = 34, where the
+    # wide members (mu_1 >= rows) would take 443,927
+    import hookexp.partition as part
+    calls = [0]
+
+    def cell(P, h):
+        calls[0] += 1
+        return P
+    sums = part._hook_sweep(34, cell)
+    assert calls[0] == 254536
+    assert sums == [factorial(n) for n in range(35)]  # sum f^2 = n!
 
 
 def test_sweep_rejects_negative_sizes():

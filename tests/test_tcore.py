@@ -69,6 +69,19 @@ def test_t_compact_validation():
         validate_t_compact(hs.elements - {7}, 5)
 
 
+def test_h_set_is_an_immutable_value():
+    import pickle
+    hs = h_set(CORE54, 5)
+    same = HSet(5, frozenset(hs.elements))
+    assert hs == same and hash(hs) == hash(same) and len({hs, same}) == 1
+    assert hs != h_set(CORE54[1:], 5)
+    assert pickle.loads(pickle.dumps(hs)) == hs
+    with pytest.raises(AttributeError):
+        hs.t = 7
+    with pytest.raises(AttributeError):
+        del hs.elements
+
+
 def test_codings_of_the_worked_core():
     assert u_coding(CORE54, 5) == (-5, -4, 12, 23, 9)
     assert v_coding(CORE54, 5) == (5, 16, 2, -12, -11)
