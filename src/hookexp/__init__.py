@@ -8,7 +8,6 @@ that computes each statement by independent routes and compares exactly.
 
 from .exactnum import BetaPoly, Rational, format_rational, parse_rational
 from .partition import (
-    Partition,
     enumerate_partitions,
     hook_beta_poly_of,
     hook_beta_sum,
@@ -48,7 +47,6 @@ __version__ = "1.0.0"
 __all__ = [
     "BetaPoly",
     "HSet",
-    "Partition",
     "Rational",
     "REGISTRY",
     "Series",

@@ -19,9 +19,15 @@ import sys
 from fractions import Fraction
 from math import factorial
 
-from .exactnum import BetaPoly, format_rational, parse_rational
+from .exactnum import (BetaPoly, format_rational, parse_rational,
+                       serialize_scalar)
 from .identities import REGISTRY, verify, verify_all
-from .partition import partition_count, partition_tuples, Partition
+from .partition import (
+    hook_eval_product,
+    partition_count,
+    partition_tuples,
+    validate_partition,
+)
 from .series import (
     divisor_power_gf,
     euler_power_formal,
@@ -71,12 +77,6 @@ def _guard_partition_count(flag, n, up_to=False):
                "for t-cores with odd t >= 3 use `cores --method coding`"))
 
 
-def _plain_coeff(c):
-    if isinstance(c, BetaPoly):
-        return json.dumps(c.to_strings())
-    return format_rational(c)
-
-
 def _as_int(x, what):
     x = Fraction(x)
     if x.denominator != 1:
@@ -105,7 +105,7 @@ def _cmd_expand(args):
             coeffs = list(ser.shift(args.shift).coeffs)
     if args.format == "plain":
         for n, c in enumerate(coeffs):
-            print("%d: %s" % (n, _plain_coeff(c)))
+            print("%d: %s" % (n, serialize_scalar(c)))
     elif args.format == "json":
         if formal:
             print(json.dumps([c.to_strings() for c in coeffs]))
@@ -211,24 +211,25 @@ def _cmd_cores(args):
 
 
 def _cmd_coding(args):
-    p = Partition.from_csv(args.parts)
+    text = args.parts.strip()  # the empty string is the empty partition
+    parts = validate_partition(map(int, text.split(","))) if text else ()
+    csv = ",".join(map(str, parts))
     t = args.t
     if t < 3 or t % 2 == 0:
         raise UsageError("--t must be an odd integer >= 3")
-    if not is_t_core(p.parts, t):
-        raise UsageError("%s is not a %d-core" % (p.to_csv() or "()", t))
-    hs = h_set(p.parts, t)
-    u = u_coding(p.parts, t)
-    v = v_coding(p.parts, t)
-    nn = n_coding(p.parts, t)
+    if not is_t_core(parts, t):
+        raise UsageError("%s is not a %d-core" % (csv or "()", t))
+    hs = h_set(parts, t)
+    u = u_coding(parts, t)
+    v = v_coding(parts, t)
+    nn = n_coding(parts, t)
     weight = core_weight_from_v(v, t)
-    if weight != p.weight:
+    if weight != sum(parts):
         raise RuntimeError("weight formula disagrees with |partition|")
     prod = core_product_from_v(v, t)
-    direct = p.hook_eval(t * t)
-    if prod != direct:
+    if prod != hook_eval_product(parts, t * t):
         raise RuntimeError("difference-product route disagrees with hooks")
-    print("partition: %s" % p.to_csv())
+    print("partition: %s" % csv)
     print("t: %d" % t)
     print("H-set: %s" % list(hs.sorted_desc()))
     print("U-coding: %s" % (u,))

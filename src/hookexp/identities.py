@@ -32,11 +32,10 @@ from .partition import (
     b_stat_of,
     contents_of,
     hook_beta_poly_of,
-    hook_beta_sum_poly,  # unused here; perfbench/selftest.py traces this name
+    hook_beta_sum_poly,
     hook_beta_sums,
     hook_beta_sums_poly,
     hook_eval_product,
-    hook_lists,
     hook_multiset_all,
     hook_power_moment,
     hook_power_moment2,
@@ -291,7 +290,7 @@ def _check_tau_5core(N):
            {"N": 30}, {"N": 0})
 def _check_jacobi_beta4(N):
     jac = jacobi_cube_series(N)
-    staircases = (("staircase m=%d" % m, hook_eval_product(staircase(m).parts, 4),
+    staircases = (("staircase m=%d" % m, hook_eval_product(staircase(m), 4),
                    (-1) ** m * (2 * m + 1))
                   for m in range(1, N + 1) if m * (m + 1) // 2 <= N)
     return ("x^0..x^%d (hook sum / sparse / exp routes), staircases within order" % N,
@@ -478,18 +477,10 @@ def _check_thm_6_9(N):
 
 
 def _hook_moment(m, k):
-    """sum over partitions of m of f_lambda^2 e_k(h^2), in integers; the
-    elementary symmetric e_k of the squared hooks is built hook by hook."""
-    total = 0
-    for parts, hooks in zip(partition_tuples(m), hook_lists(m)):
-        e = [1] + [0] * k
-        for h in hooks:
-            h2 = h * h
-            for j in range(k, 0, -1):
-                e[j] += h2 * e[j - 1]
-        f = syt_count_of(parts)
-        total += f * f * e[k]
-    return total
+    """sum over partitions of m of f_lambda^2 e_k(h^2): since f^2/m!^2 is
+    1/prod h^2, it is (-1)^(m-k) m!^2 [beta^(m-k)] of the sweep's slot m."""
+    c = hook_beta_sum_poly(m).coefficient(m - k) * factorial(m) ** 2
+    return -c if (m - k) % 2 else c
 
 
 def _moment_closed_form(n, k, closed):

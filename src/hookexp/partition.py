@@ -5,8 +5,10 @@ A partition is a weakly decreasing tuple of positive integers.  Cells are
 addressed (i, j), 1-based, row-major; row 1 is the longest row.  The hook
 length of a cell is arm + leg + 1.
 
-Fast paths work on plain tuples (`partition_tuples`, `hooks_of`, ...); the
-`Partition` class is a thin convenience wrapper over the same helpers.
+A partition is always a plain tuple: `validate_partition` checks one,
+`partition_tuples(n)` lists those of n and the helpers below read them.
+Every sum over partitions of prod(1 - beta/h^2), symbolic or at a rational
+beta, is read from one cached symbolic sweep (`hook_beta_sums_poly`).
 """
 
 from collections import Counter
@@ -64,9 +66,8 @@ def partition_tuples(n):
 
 
 def enumerate_partitions(n):
-    """Yield the partitions of n as Partition objects, largest first."""
-    for parts in partition_tuples(n):
-        yield Partition(parts)
+    """Yield the partitions of n as tuples, largest first."""
+    yield from partition_tuples(n)
 
 
 _PARTITION_COUNTS = [1]  # p(0), p(1), ... as far as asked so far
@@ -243,8 +244,6 @@ def _hook_sweep(N, cell):
     fit, and since that need grows with L the first L that fails ends the
     loop.
     """
-    if N < 0:
-        raise ValueError("N must be >= 0")
     fact = [factorial(n) for n in range(N + 1)]
     sums = [0] * (N + 1)
     cols = [0] * N  # mu'_j at cols[j - 1]
@@ -269,19 +268,6 @@ def _hook_sweep(N, cell):
 
     grow(0, 0, 0, 1, 1)
     return sums
-
-
-def hook_beta_sums(N, beta):
-    """[sum over partitions of n of prod(1 - beta/h^2) for n = 0..N].
-
-    One sweep carries the int prod(q h^2 - p) for beta = p/q; slot n is
-    divided by n!^2 q^n once, at the end.
-    """
-    beta = Fraction(beta)
-    p, q = beta.numerator, beta.denominator
-    w = [q * h * h - p for h in range(N + 1)]
-    sums = _hook_sweep(N, lambda P, h: P * w[h])
-    return [Fraction(s, factorial(n) ** 2 * q ** n) for n, s in enumerate(sums)]
 
 
 def _packing_bits(N):
@@ -315,26 +301,40 @@ def _unpack_hook_sum(packed, n, B):
     return BetaPoly(coeffs)
 
 
-def hook_beta_sums_poly(N):
-    """[sum over partitions of n of prod(1 - beta/h^2) for n = 0..N], each
-    a BetaPoly, from one sweep.
+@lru_cache(maxsize=None)
+def _hook_sums_poly(N):
+    """The symbolic sweep of size N as a tuple of (immutable) BetaPolys.
 
     The sweep carries P = prod(h^2 + X), X = -beta, as one integer at
     X = 2^B (Kronecker substitution), so each cell costs h^2 P + (P << B).
     """
+    if N < 0:
+        raise ValueError("N must be >= 0")
     B = _packing_bits(N)
     sums = _hook_sweep(N, lambda P, h: h * h * P + (P << B))
-    return [_unpack_hook_sum(s, n, B) for n, s in enumerate(sums)]
+    return tuple(_unpack_hook_sum(s, n, B) for n, s in enumerate(sums))
+
+
+def hook_beta_sums_poly(N):
+    """[sum over partitions of n of prod(1 - beta/h^2) for n = 0..N], each
+    a BetaPoly, from one cached sweep."""
+    return list(_hook_sums_poly(N))
+
+
+def hook_beta_sums(N, beta):
+    """[sum over partitions of n of prod(1 - beta/h^2) for n = 0..N] at an
+    exact rational beta: the symbolic sums of the sweep, evaluated."""
+    return [poly.eval(beta) for poly in _hook_sums_poly(N)]
 
 
 def hook_beta_sum(n, beta):
     """sum over partitions of n of prod(1 - beta/h^2), exactly."""
-    return hook_beta_sums(n, beta)[n]
+    return _hook_sums_poly(n)[n].eval(beta)
 
 
 def hook_beta_sum_poly(n):
     """sum over partitions of n of prod(1 - beta/h^2), as a BetaPoly."""
-    return hook_beta_sums_poly(n)[n]
+    return _hook_sums_poly(n)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -384,19 +384,12 @@ def hook_power_moment2(n, alpha):
 
 def hook_multiset_all(n):
     """Multiset of all hook lengths of all partitions of n (Counter)."""
-    census = Counter()
-    for hooks in hook_lists(n):
-        census.update(hooks)
-    return census
+    return Counter({h: c for h, c in enumerate(hook_count_census(n)[0]) if c})
 
 
 def parts_multiset_duplicated(n):
     """Multiset of parts of all partitions of n, a part k counted k times."""
-    census = Counter()
-    for parts in partition_tuples(n):
-        for row in parts:
-            census[row] += row
-    return census
+    return Counter({k: k * c for k, c in part_occurrence_census(n).items()})
 
 
 def part_occurrence_census(n):
@@ -423,102 +416,4 @@ def hook_type_census(n):
 
 def staircase(m):
     """The staircase partition (m, m-1, ..., 1)."""
-    return Partition(range(m, 0, -1))
-
-
-def doubled_staircase(m):
-    """The doubled staircase (m, m, m-1, m-1, ..., 1, 1)."""
-    out = []
-    for k in range(m, 0, -1):
-        out += [k, k]
-    return Partition(out)
-
-
-# ---------------------------------------------------------------------------
-
-class Partition:
-    """A partition with cached diagram statistics.
-
-    >>> lam = Partition((2,))
-    >>> sorted(lam.hooks())
-    [1, 2]
-    """
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts=()):
-        object.__setattr__(self, "parts", validate_partition(parts))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    @classmethod
-    def from_csv(cls, text):
-        """Parse "14,10,6" (the empty string is the empty partition)."""
-        text = text.strip()
-        if not text:
-            return cls(())
-        return cls(tuple(int(tok.strip()) for tok in text.split(",")))
-
-    def to_csv(self):
-        return ",".join(str(x) for x in self.parts)
-
-    @property
-    def weight(self):
-        return sum(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        if isinstance(other, tuple):
-            return self.parts == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return "Partition(%r)" % (self.parts,)
-
-    def conjugate(self):
-        return Partition(conjugate_of(self.parts))
-
-    def cells(self):
-        """Yield 1-based (i, j) cells, row-major."""
-        for i, row in enumerate(self.parts, start=1):
-            for j in range(1, row + 1):
-                yield (i, j)
-
-    def _check_cell(self, i, j):
-        if not (1 <= i <= len(self.parts) and 1 <= j <= self.parts[i - 1]):
-            raise ValueError("cell (%d, %d) not in %r" % (i, j, self.parts))
-
-    def arm(self, i, j):
-        self._check_cell(i, j)
-        return self.parts[i - 1] - j
-
-    def leg(self, i, j):
-        self._check_cell(i, j)
-        return conjugate_of(self.parts)[j - 1] - i
-
-    def content(self, i, j):
-        self._check_cell(i, j)
-        return j - i
-
-    def hook(self, i, j):
-        return self.arm(i, j) + self.leg(i, j) + 1
-
-    def hooks(self):
-        return hooks_of(self.parts)
-
-    def b_stat(self):
-        return b_stat_of(self.parts)
-
-    def hook_eval(self, beta):
-        return hook_eval_product(self.parts, beta)
+    return tuple(range(m, 0, -1))

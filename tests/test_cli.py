@@ -230,9 +230,31 @@ def test_coding_golden_output():
 
 
 def test_coding_usage_errors():
-    assert run_cli("coding", "--parts", "3,1,1", "--t", "5")[0] == 2
-    assert run_cli("coding", "--parts", "2,1", "--t", "4")[0] == 2
-    assert run_cli("coding", "--parts", "1,3", "--t", "5")[0] == 2
+    for parts, t, message in (
+            ("3,1,1", "5", "3,1,1 is not a 5-core"),
+            (" 3, 1,1 ", "5", "3,1,1 is not a 5-core"),
+            ("2,1", "4", "--t must be an odd integer >= 3"),
+            ("1,3", "5", "parts must be weakly decreasing: (1, 3)"),
+            ("3,0", "5", "parts must be positive integers: (3, 0)"),
+            ("3,x", "5", "invalid literal for int() with base 10: 'x'")):
+        assert run_cli("coding", "--parts", parts, "--t", t) == (
+            2, "", "error: %s\n" % message), parts
+
+
+def test_coding_of_the_empty_core():
+    # the empty string is the empty partition, a t-core for every t
+    code, out, _ = run_cli("coding", "--parts", "", "--t", "5")
+    assert code == 0
+    assert out == (
+        "partition: \n"
+        "t: 5\n"
+        "H-set: [-1, -2, -3, -4, -5]\n"
+        "U-coding: (-5, -4, -3, -2, -1)\n"
+        "V-coding: (0, 1, 2, -2, -1)\n"
+        "N-coding: (0, 0, 0, 0, 0)\n"
+        "weight: 0\n"
+        "beta=25 product: 1\n"
+    )
 
 
 def test_seq_goldens():

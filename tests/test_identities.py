@@ -214,7 +214,7 @@ SWEEP_CHECKS = {
     "corollary-2-3": {"n": 6}, "corollary-2-4": {"n": 6, "k": 2},
     "corollary-2-6": {"n": 6, "k": 1}, "pp-identity": {"n": 6},
     "pentagonal-beta2": {"N": 6}, "jacobi-beta4": {"N": 6}, "magic": {"N": 4},
-    "cor-9-2": {"n": 6},
+    "cor-9-2": {"n": 6}, "marked-hook": {"n": 6}, "prop-6-11": {"n": 6},
 }
 
 
@@ -223,10 +223,13 @@ def test_sweep_sits_on_one_side_of_each_check(monkeypatch):
     # sweep on both of its sides would still pass
     from fractions import Fraction
     import hookexp.series
-    from hookexp.partition import hook_beta_sums, hook_beta_sums_poly
+    from hookexp.partition import (hook_beta_sum_poly, hook_beta_sums,
+                                   hook_beta_sums_poly)
 
     def skew(kernel):
         return lambda *args: [v + Fraction(1, 2) for v in kernel(*args)]
+    monkeypatch.setattr(identities, "hook_beta_sum_poly",
+                        lambda n: hook_beta_sum_poly(n) + Fraction(1, 2))
     monkeypatch.setattr(identities, "hook_beta_sums", skew(hook_beta_sums))
     monkeypatch.setattr(identities, "hook_beta_sums_poly",
                         skew(hook_beta_sums_poly))

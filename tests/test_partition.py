@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -5,10 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hookexp.partition import (
-    Partition,
     b_stat_of,
     conjugate_of,
-    doubled_staircase,
     first_column_hooks_of,
     hook_beta_poly_of,
     conjugate_reps,
@@ -200,14 +199,14 @@ def test_part_occurrence_census_vs_cells():
 def test_staircase_products_at_beta_4():
     # only staircases survive at beta = 4, each contributing (-1)^m (2m+1)
     for m in range(1, 7):
-        got = hook_eval_product(staircase(m).parts, 4)
+        got = hook_eval_product(staircase(m), 4)
         assert got == (-1) ** m * (2 * m + 1)
 
 
 def test_doubled_staircase_products_at_beta_9():
     # 3-cores (k, k-1, ..., 1) doubled: (2k-1, 2k-3, ..., 1) pattern
     for k in range(1, 6):
-        parts = doubled_staircase(k).parts
+        parts = tuple(row for j in range(k, 0, -1) for row in (j, j))
         got = hook_eval_product(parts, 9)
         assert got == Fraction((3 * k + 1) * (3 * k + 2), 2)
 
@@ -307,6 +306,7 @@ def test_numeric_sweep_matches_oracle_and_symbolic_sweep(N, beta):
 
 def test_sweep_builds_no_partition_table(monkeypatch):
     import hookexp.partition as part
+    part._hook_sums_poly.cache_clear()  # so that the sweep runs here
 
     def refuse(*args):
         raise AssertionError("the sweep must not enumerate partitions")
@@ -332,10 +332,41 @@ def test_sweep_walks_the_tall_member_of_each_conjugate_pair():
 
 
 def test_sweep_rejects_negative_sizes():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="N must be >= 0"):
         hook_beta_sums(-1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="N must be >= 0"):
         hook_beta_sums_poly(-1)
+
+
+def test_every_hook_sum_of_one_size_comes_from_one_sweep(monkeypatch):
+    import hookexp.partition as part
+    part._hook_sums_poly.cache_clear()
+    sweeps = []
+    sweep = part._hook_sweep
+
+    def counted(N, cell):
+        sweeps.append(N)
+        return sweep(N, cell)
+    monkeypatch.setattr(part, "_hook_sweep", counted)
+    want = SWEEP_POLYS[:11]
+    assert hook_beta_sums_poly(10) == want
+    assert hook_beta_sums(10, 2) == [p.eval(2) for p in want]
+    assert hook_beta_sums(10, Fraction(-7, 3)) == [p.eval(Fraction(-7, 3))
+                                                   for p in want]
+    assert hook_beta_sum(10, 5) == want[10].eval(5)
+    assert hook_beta_sum_poly(10) == want[10]
+    assert sweeps == [10]
+    assert hook_beta_sums_poly(4) == want[:5]
+    assert sweeps == [10, 4]
+
+
+def test_callers_cannot_change_the_cached_sums():
+    polys, values = hook_beta_sums_poly(8), hook_beta_sums(8, 3)
+    polys[2] = values[2] = None
+    polys.append(BetaPoly())
+    values.clear()
+    assert hook_beta_sums_poly(8) == SWEEP_POLYS[:9]
+    assert hook_beta_sums(8, 3) == [p.eval(3) for p in SWEEP_POLYS[:9]]
 
 
 def test_corrupted_packed_sum_raises_under_python_O():
@@ -389,7 +420,8 @@ def test_census_matches_per_partition_hook_counts():
         counts = [[hooks_of(parts).count(h) for h in range(n + 1)]
                   for parts in partition_tuples(n)]
         assert list(c1) == [sum(c[h] for c in counts) for h in range(n + 1)]
-        assert all(c1[h] == k for h, k in hook_multiset_all(n).items())
+        assert hook_multiset_all(n) == Counter(
+            h for parts in partition_tuples(n) for h in hooks_of(parts))
         for h in range(n + 1):
             assert list(c2[h]) == [sum(c[h] * c[g] for c in counts)
                                    for g in range(n + 1)]
@@ -413,28 +445,6 @@ def test_census_power_moments_at_random_alpha(m, alpha):
     assert got == _stat_sum(m, lambda hooks: _power_stat(hooks, alpha))
     assert hook_power_moment2(m, alpha) == _stat_sum(
         m, lambda hooks: _power_stat(hooks, alpha) ** 2)
-
-
-def test_partition_class_round_trips():
-    p = Partition.from_csv("14,10,6,6,4,4,4,2,2,2")
-    assert p.weight == 54
-    assert p.to_csv() == "14,10,6,6,4,4,4,2,2,2"
-    assert Partition.from_csv("").parts == ()
-    assert Partition.from_csv("").to_csv() == ""
-    with pytest.raises(ValueError):
-        Partition.from_csv("3,5")
-
-
-def test_partition_class_cell_statistics():
-    p = Partition((3, 2))
-    assert sorted(p.hooks()) == sorted(hooks_of((3, 2)))
-    assert p.hook(1, 1) == 4
-    assert p.arm(1, 1) == 2
-    assert p.leg(1, 1) == 1
-    assert p.content(2, 1) == -1
-    assert p.b_stat() == b_stat_of((3, 2))
-    with pytest.raises(ValueError):
-        p.hook(3, 1)
 
 
 def test_b_stat():

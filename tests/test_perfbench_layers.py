@@ -1,6 +1,7 @@
 """The benchmark's tracer looks up every layer name with getattr, so a name
-deleted or renamed in hookexp would crash a traced benchmark run; this test
-fails first.  perfbench/layers.py is only imported, never changed."""
+deleted or renamed in hookexp would crash a traced benchmark run; these
+tests fail first.  The files under perfbench/ are only imported, never
+changed."""
 
 import importlib
 import importlib.util
@@ -10,26 +11,28 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_layers():
-    # layers.py imports its sibling checkers.py as a top-level module
-    saved = sys.dont_write_bytecode, "checkers" in sys.modules
+def _load(name):
+    """Import perfbench/<name>.py.  Its siblings (checkers.py, layers.py)
+    import as top-level modules; those are dropped again afterwards."""
+    saved = sys.dont_write_bytecode, set(sys.modules)
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(PERFBENCH))
     try:
         spec = importlib.util.spec_from_file_location(
-            "perfbench_layers", PERFBENCH / "layers.py")
+            "perfbench_" + name, PERFBENCH / (name + ".py"))
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     finally:
         sys.path.remove(str(PERFBENCH))
         sys.dont_write_bytecode = saved[0]
-        if not saved[1]:
-            sys.modules.pop("checkers", None)
+        for sibling in ("checkers", "layers"):
+            if sibling not in saved[1]:
+                sys.modules.pop(sibling, None)
     return module
 
 
 def test_every_traced_name_resolves_in_hookexp():
-    layers = _load_layers()
+    layers = _load("layers")
     names = {n for group in layers.LAYERS.values() for n in group}
     names |= set(layers.OTHER)
     missing = []
@@ -43,6 +46,20 @@ def test_every_traced_name_resolves_in_hookexp():
             missing.append(name)
     assert len(names) > 50
     assert missing == []
+
+
+def test_the_tracer_installs_and_removes_every_wrapper():
+    # the tracer wraps functions by object identity and reads cache_info()
+    # from the partition caches: a traced name that is deleted, aliased to
+    # another traced name or uncached makes install() raise
+    tracer = _load("tracer")
+    traced = tracer.Tracer("install-remove")
+    try:
+        traced.install()
+        assert tracer.installed_wrappers() != []
+    finally:
+        traced.remove()
+    assert tracer.installed_wrappers() == []
 
 
 def test_every_name_the_selftest_reads_resolves():
