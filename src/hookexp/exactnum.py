@@ -195,10 +195,6 @@ class BetaPoly:
         """Serialized form: list of "p/q" strings, lowest degree first."""
         return [format_rational(c) for c in self.coeffs]
 
-    @classmethod
-    def from_strings(cls, items):
-        return cls(tuple(parse_rational(s) for s in items))
-
     def __repr__(self):
         return "BetaPoly([%s])" % ", ".join(format_rational(c) for c in self.coeffs)
 

@@ -66,15 +66,16 @@ from .series import (
     schur_principal_x,
 )
 from .tcore import (
+    _h_elements,
+    _n_of,
+    _require_coding_t,
+    _u_of,
+    _v_of,
     core_product_from_v,
     core_weight_from_n,
     core_weight_from_v,
     enumerate_t_cores,
-    h_set,
     is_t_core,
-    n_coding,
-    u_coding,
-    v_coding,
 )
 WORKERS_ENV = "HOOKEXP_WORKERS"
 
@@ -316,6 +317,7 @@ def _check_eta8_beta9(N):
 def _t_cores(t, n, start=0):
     """Yield (t, m, core, label) for every t-core of m = start..n, each t."""
     for tt in t:
+        _require_coding_t(tt)
         for m in range(start, n + 1):
             for core in enumerate_t_cores(m, tt):
                 yield tt, m, core, "t=%d core=%s" % (tt, ",".join(map(str, core)))
@@ -337,7 +339,7 @@ def _positive_hook_ratio(elements, t):
            {"n": 25, "t": (3, 5, 7)}, {"n": 0})
 def _check_gks_weight(n, t):
     return "all t-cores of n=0..%d, t in %s" % (n, list(t)), (
-        (at, core_weight_from_n(n_coding(core, tt), tt), m)
+        (at, core_weight_from_n(_n_of(core, tt), tt), m)
         for tt, m, core, at in _t_cores(t, n))
 
 
@@ -347,7 +349,7 @@ def _check_gks_weight(n, t):
 def _check_phi_v_theorem(n, t):
     def rows():
         for tt, m, core, at in _t_cores(t, n):
-            v = v_coding(core, tt)
+            v = _v_of(core, tt)
             yield at + " weight", core_weight_from_v(v, tt), m
             yield (at + " product", core_product_from_v(v, tt),
                    hook_eval_product(core, tt * tt))
@@ -359,8 +361,8 @@ def _check_phi_v_theorem(n, t):
            {"n": 25, "t": (3, 5, 7)}, {"n": 0})
 def _check_lemma_5_5(n, t):
     return "all t-cores of n=0..%d, t in %s" % (n, list(t)), (
-        (at, _positive_hook_ratio(h_set(core, tt).elements, tt),
-         _u_ratio(u_coding(core, tt), tt))
+        (at, _positive_hook_ratio(_h_elements(core, tt), tt),
+         _u_ratio(_u_of(core, tt), tt))
         for tt, m, core, at in _t_cores(t, n))
 
 
@@ -373,8 +375,8 @@ def _check_lemma_5_6(n, t):
             erased = tuple(x - 1 for x in core if x > 1)
             if not is_t_core(erased, tt):
                 yield at + " erased", ",".join(map(str, erased)), "a t-core"
-            u = u_coding(core, tt)
-            yield (at, Fraction(diff_product(u), diff_product(u_coding(erased, tt))),
+            u = _u_of(core, tt)
+            yield (at, Fraction(diff_product(u), diff_product(_u_of(erased, tt))),
                    _u_ratio(u, tt))
     return "all non-empty t-cores of n=0..%d, t in %s" % (n, list(t)), rows()
 

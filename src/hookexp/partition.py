@@ -9,12 +9,13 @@ A partition is always a plain tuple: `validate_partition` checks one,
 `partition_tuples(n)` lists those of n and the helpers below read them.
 Every sum over partitions of prod(1 - beta/h^2), symbolic or at a rational
 beta, is read from one cached symbolic sweep (`hook_beta_sums_poly`).
+The hook-count census and the hook power moments read `hook_lists(n)`.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from math import factorial, lcm, prod
 from operator import ge, mul
 
@@ -114,8 +115,6 @@ def conjugate_of(parts):
 
 def hooks_of(parts):
     """All hook lengths, row-major."""
-    if not parts:
-        return ()
     conj = conjugate_of(parts)
     out = []
     for i, row in enumerate(parts):
@@ -208,17 +207,6 @@ def hook_eval_product(parts, beta):
         num *= q * h2 - p
         den *= h2
     return Fraction(num, den * q ** sum(parts))
-
-
-def conjugate_reps(n):
-    """Yield (hooks, multiplicity) per conjugate class of partitions of n:
-    conjugation preserves hooks, so a non-self-conjugate class counts twice.
-    """
-    for parts, hooks in zip(partition_tuples(n), hook_lists(n)):
-        conj = conjugate_of(parts)
-        if conj > parts:
-            continue
-        yield hooks, (1 if conj == parts else 2)
 
 
 # ---------------------------------------------------------------------------
@@ -342,19 +330,9 @@ def hook_beta_sum_poly(n):
 
 @lru_cache(maxsize=None)
 def hook_count_census(n):
-    """Int tuples C1[h] = sum c_h and C2[h][g] = sum c_h * c_g over the
-    partitions of n, c_h counting the cells of hook length h (0 <= h, g <= n).
-    """
-    c1 = [0] * (n + 1)
-    c2 = [[0] * (n + 1) for _ in c1]
-    for hooks, mult in conjugate_reps(n):
-        counts = Counter(hooks).items()
-        for h, a in counts:
-            c1[h] += mult * a
-            row = c2[h]
-            for g, b in counts:
-                row[g] += mult * a * b
-    return tuple(c1), tuple(map(tuple, c2))
+    """Int tuple C: C[h] cells of hook length h over the partitions of n."""
+    counts = Counter(chain.from_iterable(hook_lists(n)))
+    return tuple(counts[h] for h in range(n + 1))
 
 
 def _power_weights(n, alpha):
@@ -368,15 +346,14 @@ def _power_weights(n, alpha):
 def hook_power_moment(n, alpha):
     """sum over partitions of n of sum over cells of h^alpha (integer alpha)."""
     w, d = _power_weights(n, alpha)
-    return Fraction(sum(map(mul, hook_count_census(n)[0], w)), d)
+    return Fraction(sum(map(mul, hook_count_census(n), w)), d)
 
 
 def hook_power_moment2(n, alpha):
     """sum over partitions of n of (sum over cells of h^alpha)^2."""
     w, d = _power_weights(n, alpha)
-    c2 = hook_count_census(n)[1]
-    return Fraction(sum(x * sum(map(mul, row, w)) for x, row in zip(w, c2)),
-                    d * d)
+    return Fraction(sum(sum(map(w.__getitem__, hooks)) ** 2
+                        for hooks in hook_lists(n)), d * d)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +361,7 @@ def hook_power_moment2(n, alpha):
 
 def hook_multiset_all(n):
     """Multiset of all hook lengths of all partitions of n (Counter)."""
-    return Counter({h: c for h, c in enumerate(hook_count_census(n)[0]) if c})
+    return Counter({h: c for h, c in enumerate(hook_count_census(n)) if c})
 
 
 def parts_multiset_duplicated(n):

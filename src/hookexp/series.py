@@ -215,12 +215,7 @@ def divisor_power_gf(alpha, order):
 
 def log_euler_sum(order):
     """sum_{k>=1} x^k / (k (1 - x^k)) = -log prod (1 - x^m)."""
-    out = [_ZERO] * (order + 1)
-    for k in range(1, order + 1):
-        term = Fraction(1, k)
-        for m in range(k, order + 1, k):
-            out[m] += term
-    return Series(out)
+    return divisor_power_gf(-1, order)
 
 
 def euler_power(s, order):

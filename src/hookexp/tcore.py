@@ -18,6 +18,7 @@ t-core is encoded three equivalent ways, all indexed by residues mod t:
 The decoding direction reconstructs the first-column hooks from V by closing
 each positive class downward in steps of t.  Weight and hook products are
 polynomial in the codings: see core_weight_from_v / core_product_from_v.
+The public codings check their input; _u_of/_v_of/_n_of code a known t-core.
 """
 
 from bisect import bisect_left
@@ -188,10 +189,8 @@ def v_coding(parts, t):
     return _v_of(_checked_core(parts, t), t)
 
 
-def n_coding(parts, t):
-    """Zero-sum N-coding: n_i = floor((e - l)/t) + 1 for the largest e in H
-    with e - l = i mod t, l rows; that e is an entry of the U-coding."""
-    parts = _checked_core(parts, t)
+def _n_of(parts, t):
+    """N-coding of a checked t-core, from its U-coding."""
     n = [None] * t
     for e in _u_of(parts, t):
         d = e - len(parts)
@@ -199,6 +198,12 @@ def n_coding(parts, t):
     n = tuple(n)
     _invariant(sum(n) == 0, "N-coding must sum to zero")
     return n
+
+
+def n_coding(parts, t):
+    """Zero-sum N-coding: n_i = floor((e - l)/t) + 1 for the largest e in H
+    with e - l = i mod t, l rows; that e is an entry of the U-coding."""
+    return _n_of(_checked_core(parts, t), t)
 
 
 def v_from_n(nvec, t):

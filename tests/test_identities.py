@@ -420,3 +420,46 @@ def test_integer_ratios_match_fraction_products():
         elements = h_set(core, tt).elements
         assert identities._positive_hook_ratio(elements, tt) == \
             prod(1 - Fraction(tt * tt, a * a) for a in elements if a > 0), at
+
+
+T_CORE_CHECKS = ("gks-weight", "phi-v-theorem", "lemma-5-5", "lemma-5-6")
+
+
+def test_t_core_checks_do_not_check_the_filtered_cores_again(monkeypatch):
+    # the filter yields only t-cores, so the checks code them without the
+    # hook check of the public codings
+    import hookexp.tcore
+    calls = []
+    real = hookexp.tcore.is_t_core
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(hookexp.tcore, "is_t_core", counting)
+    for n in range(11):
+        for cid in T_CORE_CHECKS:
+            assert verify(cid, {"n": n}).ok, (cid, n)
+    assert calls == []
+
+
+def test_lemma_5_6_reports_a_non_core_erasure_before_coding_it(monkeypatch):
+    coded = []
+    real = identities._u_of
+
+    def counting(parts, t):
+        coded.append(parts)
+        return real(parts, t)
+    monkeypatch.setattr(identities, "is_t_core", lambda parts, t: False)
+    monkeypatch.setattr(identities, "_u_of", counting)
+    report = verify("lemma-5-6", {"n": 3, "t": (3,)})
+    assert report.status == "fail"
+    assert report.first_mismatch == {
+        "location": "t=3 core=1 erased", "lhs": "", "rhs": "a t-core"}
+    assert coded == []
+
+
+@pytest.mark.parametrize("cid", T_CORE_CHECKS)
+def test_t_core_checks_refuse_a_t_without_codings(cid):
+    for t in (0, 1, 2, 4):
+        with pytest.raises(ValueError, match="odd t >= 3"):
+            verify(cid, {"n": 4, "t": (t,)})
