@@ -77,6 +77,12 @@ def _guard_partition_count(flag, n, up_to=False):
                "for t-cores with odd t >= 3 use `cores --method coding`"))
 
 
+def _require_odd_t(t):
+    """Codings, and every registry entry that takes t, need an odd t >= 3."""
+    if t < 3 or t % 2 == 0:
+        raise UsageError("--t must be an odd integer >= 3")
+
+
 def _as_int(x, what):
     x = Fraction(x)
     if x.denominator != 1:
@@ -155,7 +161,9 @@ def _cmd_verify(args):
             if floor is not None and value < floor:
                 raise UsageError("--%s must be at least %d for %s"
                                  % (flag, floor, args.id))
-            if flag != "t":
+            if flag == "t":
+                _require_odd_t(value)
+            else:
                 _guard_partition_count("--" + flag, value, up_to=True)
             params[key] = value
         reports = [verify(args.id, params)]
@@ -204,7 +212,11 @@ def _cmd_cores(args):
     if args.n < 0:
         raise UsageError("--n must be non-negative")
     if args.method == "filter":
+        if args.t < 1:
+            raise UsageError("--t must be a positive integer")
         _guard_partition_count("--n", args.n)
+    else:
+        _require_odd_t(args.t)
     for core in enumerate_t_cores(args.n, args.t, method=args.method):
         print(",".join(map(str, core)))
     return 0
@@ -215,8 +227,7 @@ def _cmd_coding(args):
     parts = validate_partition(map(int, text.split(","))) if text else ()
     csv = ",".join(map(str, parts))
     t = args.t
-    if t < 3 or t % 2 == 0:
-        raise UsageError("--t must be an odd integer >= 3")
+    _require_odd_t(t)
     if not is_t_core(parts, t):
         raise UsageError("%s is not a %d-core" % (csv or "()", t))
     hs = h_set(parts, t)

@@ -701,7 +701,8 @@ def _check_cor_9_2(n):
 # driver
 
 def verify(check_id, params=None):
-    """Run one registry entry; returns a VerificationReport."""
+    """Run one registry entry; returns a VerificationReport.  A parameter
+    that would check nothing (below its floor, or empty) raises ValueError."""
     try:
         entry = REGISTRY[check_id]
     except KeyError:
@@ -710,8 +711,16 @@ def verify(check_id, params=None):
     for key, value in (params or {}).items():
         if key not in merged:
             raise ValueError("unknown parameter %r for %r" % (key, check_id))
-        if isinstance(merged[key], tuple) and isinstance(value, int):
-            value = (value,)
+        if isinstance(merged[key], tuple):
+            if isinstance(value, int):
+                value = (value,)
+            elif not value:
+                raise ValueError("parameter %r for %r must not be empty"
+                                 % (key, check_id))
+        floor = entry.minimal.get(key)
+        if floor is not None and value < floor:
+            raise ValueError("parameter %r for %r must be at least %d, got %r"
+                             % (key, check_id, floor, value))
         merged[key] = value
     start = time.perf_counter()
     rng, mismatch = entry.fn(**merged)

@@ -8,19 +8,22 @@ prod_{m>=1} (1 - x^m) with rational or formal exponent (by exp/log, or by
 the sparse power recurrence over the pentagonal series), the classical sparse
 series (pentagonal numbers, cubes, an eighth-power double sum), divisor
 power sums, principal specializations of Schur functions, a lattice-sum
-route to eta powers, and compositional reversion of x * (Euler product).
+route to eta powers over the t-core codings of tcore, and compositional
+reversion of x * (Euler product).
 """
 
 from fractions import Fraction
-from math import factorial, isqrt, perm
+from math import factorial, perm
 
-from .exactnum import BetaPoly, diff_product, superfactorial
+from .exactnum import BetaPoly
 from .partition import (
     b_stat_of,
     contents_of,
     hook_beta_sums_poly,
     hooks_of,
 )
+from .tcore import (_codings_of_weight, _require_coding_t,
+                    core_product_from_v, v_from_n)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -403,41 +406,14 @@ def macdonald_eta_power(t, order):
 
     Sums (-1)^((t-1)/2)/(1!2!...(t-1)!) * prod_{i<j}(v_i - v_j) over integer
     vectors (v_0..v_{t-1}) with v_i = i mod t and sum zero, the exponent of x
-    being sum(v^2)/(2t) - (t^2-1)/24.  Enumerates every vector whose exponent
-    is within the truncation order.
+    being sum(v^2)/(2t) - (t^2-1)/24: the V-codings of the t-cores, each at
+    its core's weight, as the t-core coding search lists them.
     """
-    if not isinstance(t, int) or t < 3 or t % 2 == 0:
-        raise ValueError("t must be odd and >= 3")
-    budget = 2 * t * order + t * (t * t - 1) // 12  # max allowed sum(v^2)
-    vmax = isqrt(budget)
-    acc = [0] * (order + 1)
-    vec = [0] * t
-
-    def descend(i, rsum, sq):
-        if i == t - 1:
-            v = -rsum
-            if (v - i) % t != 0 or sq + v * v > budget:
-                return
-            vec[i] = v
-            num = 12 * (sq + v * v) - t * (t * t - 1)
-            w, r = divmod(num, 24 * t)
-            if r or w > order:
-                return
-            acc[w] += diff_product(vec)
-            return
-        v = i - t * ((vmax + i) // t)  # smallest value = i mod t with |v| <= vmax
-        while v <= vmax:
-            if sq + v * v <= budget:
-                vec[i] = v
-                descend(i + 1, rsum + v, sq + v * v)
-            v += t
-
-    descend(0, 0, 0)
-    den = superfactorial(t - 1)
-    sign = (-1) ** ((t - 1) // 2)
+    _require_coding_t(t)
     out = []
-    for a in acc:
-        c = Fraction(sign * a, den)
+    for n in range(order + 1):
+        c = sum((core_product_from_v(v_from_n(nvec, t), t)
+                 for nvec in _codings_of_weight(n, t)), _ZERO)
         if c.denominator != 1:
             raise ArithmeticError("eta-power coefficients must be integers")
         out.append(c)
@@ -491,6 +467,8 @@ def revert_euler(order, method="lagrange"):
     and then checks the fixed point at the full order.  Both return
     Fraction coefficients.
     """
+    if order < 0:
+        raise ValueError("order must be >= 0")
     if method == "lagrange":
         coeffs = [_ZERO]
         sums = hook_beta_sums_poly(max(order - 1, 0))

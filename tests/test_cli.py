@@ -102,6 +102,25 @@ def test_verify_usage_errors():
     assert run_cli("verify", "--id", "main-identity", "--all")[0] == 2
 
 
+def test_verify_t_errors_name_the_flag():
+    for cid in ("gks-weight", "phi-v-theorem", "lemma-5-5", "lemma-5-6",
+                "macdonald"):
+        for t in ("4", "1", "-3"):
+            assert run_cli("verify", "--id", cid, "--t", t) == (
+                2, "", "error: --t must be an odd integer >= 3\n"), (cid, t)
+
+
+def test_cores_t_errors_name_the_flag():
+    for argv, message in (
+            (("--t", "0"), "--t must be a positive integer"),
+            (("--t", "4", "--method", "coding"),
+             "--t must be an odd integer >= 3"),
+            (("--t", "1", "--method", "coding"),
+             "--t must be an odd integer >= 3")):
+        assert run_cli("cores", "--n", "5", *argv) == (
+            2, "", "error: %s\n" % message), argv
+
+
 def test_verify_all_refuses_flags_it_would_ignore():
     for flag in ("--t", "--n"):
         code, out, err = run_cli("verify", "--all", flag, "5")

@@ -103,6 +103,20 @@ def test_verify_rejects_unknown_id_and_param():
         verify("main-identity", {"badparam": 3})
 
 
+def test_verify_refuses_parameters_that_would_check_nothing():
+    for cid, params, key in (("theorem-2-1", {"K": 0}, "K"),
+                             ("tau-5core", {"N": 0}, "N"),
+                             ("prop-6-12", {"n": 1}, "n"),
+                             ("gks-weight", {"t": ()}, "t"),
+                             ("thm-6-2", {"alpha": ()}, "alpha"),
+                             ("cauchy-special", {"d": ()}, "d")):
+        with pytest.raises(ValueError) as info:
+            verify(cid, params)
+        message = str(info.value)
+        assert repr(cid) in message and repr(key) in message, cid
+        assert "constant term" not in message
+
+
 def test_verify_normalizes_scalar_t():
     report = verify("gks-weight", {"n": 6, "t": 3})
     assert report.params["t"] == (3,)

@@ -131,8 +131,27 @@ def test_pentagonal_prefix():
 
 
 def test_macdonald_lattice_sum():
-    for t in (3, 5):
+    for t in (3, 5, 7, 9):
         assert macdonald_eta_power(t, 12) == euler_power(t * t - 1, 12)
+
+
+def test_macdonald_needs_an_odd_t_of_at_least_3():
+    for t in (1, 2, 4):
+        with pytest.raises(ValueError, match="odd t >= 3"):
+            macdonald_eta_power(t, 5)
+
+
+def test_macdonald_reads_the_coding_search_at_every_degree(monkeypatch):
+    import hookexp.series as series_mod
+    real = series_mod._codings_of_weight
+    calls = []
+
+    def counting(n, t):
+        calls.append((n, t))
+        return real(n, t)
+    monkeypatch.setattr(series_mod, "_codings_of_weight", counting)
+    assert macdonald_eta_power(5, 8) == euler_power(24, 8)
+    assert calls == [(n, 5) for n in range(9)]
 
 
 def test_formal_euler_power_evaluates_to_numeric_ones():
@@ -177,6 +196,12 @@ def test_integer_iteration_matches_lagrange_to_order_20():
         b = revert_euler(order, method="iterate")
         assert a == b
         assert all(type(c) is Fraction for c in b.coeffs)
+
+
+def test_revert_euler_refuses_a_negative_order():
+    for method in ("lagrange", "iterate"):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            revert_euler(-1, method=method)
 
 
 def test_lagrange_integrality_check_raises(monkeypatch):
