@@ -19,8 +19,7 @@ import sys
 from fractions import Fraction
 from math import factorial
 
-from .exactnum import (BetaPoly, format_rational, parse_rational,
-                       serialize_scalar)
+from .exactnum import format_rational, parse_rational, serialize_scalar
 from .identities import REGISTRY, verify, verify_all
 from .partition import (
     hook_eval_product,
@@ -63,8 +62,10 @@ def _guard_partition_count(flag, n, up_to=False):
     raw = os.environ.get(MAX_PARTITIONS_ENV, "")
     try:
         limit = int(raw) if raw else DEFAULT_MAX_PARTITIONS
+        if limit < 0:
+            raise ValueError
     except ValueError:
-        raise UsageError("%s must be an integer, got %r"
+        raise UsageError("%s must be a non-negative integer, got %r"
                          % (MAX_PARTITIONS_ENV, raw)) from None
     count = sum(map(partition_count, range(n + 1) if up_to else (n,)))
     if count > limit:
@@ -96,19 +97,10 @@ def _cmd_expand(args):
     if args.shift < 0:
         raise UsageError("--shift must be non-negative")
     formal = args.exponent.strip() == "beta"
-    base = args.order - args.shift
-    if formal:
-        if base < 0:
-            coeffs = [BetaPoly()] * (args.order + 1)
-        else:
-            coeffs = list(euler_power_formal(base).shift(args.shift).coeffs)
-    else:
-        s = parse_rational(args.exponent)
-        if base < 0:
-            coeffs = [Fraction(0)] * (args.order + 1)
-        else:
-            ser = euler_power_recurrence(s, base)
-            coeffs = list(ser.shift(args.shift).coeffs)
+    base = max(args.order - args.shift, 0)
+    ser = (euler_power_formal(base) if formal
+           else euler_power_recurrence(parse_rational(args.exponent), base))
+    coeffs = ser.shift(args.shift).coeffs[:args.order + 1]
     if args.format == "plain":
         for n, c in enumerate(coeffs):
             print("%d: %s" % (n, serialize_scalar(c)))
@@ -224,7 +216,10 @@ def _cmd_cores(args):
 
 def _cmd_coding(args):
     text = args.parts.strip()  # the empty string is the empty partition
-    parts = validate_partition(map(int, text.split(","))) if text else ()
+    try:
+        parts = validate_partition(map(int, text.split(","))) if text else ()
+    except ValueError as exc:
+        raise UsageError("--parts: %s" % exc) from None
     csv = ",".join(map(str, parts))
     t = args.t
     _require_odd_t(t)

@@ -23,9 +23,11 @@ verify() runs one entry; verify_all() runs the whole registry at default
 import json
 import os
 import time
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from math import factorial, prod
+from types import SimpleNamespace
 
 from .exactnum import BetaPoly, diff_product, serialize_scalar
 from .partition import (
@@ -80,55 +82,26 @@ from .tcore import (
 WORKERS_ENV = "HOOKEXP_WORKERS"
 
 
-class VerificationReport:
+class VerificationReport(namedtuple("VerificationReport", (
+        "id", "params", "status", "checked_range", "first_mismatch",
+        "elapsed_ms"))):
     """The outcome of one registry entry: status "pass" or "fail", the range
     checked, the first mismatch (or None) and the wall time of the check."""
 
-    __slots__ = ("id", "params", "status", "checked_range", "first_mismatch",
-                 "elapsed_ms")
-
-    def __init__(self, id, params, status, checked_range, first_mismatch,
-                 elapsed_ms):
-        self.id = id
-        self.params = params
-        self.status = status
-        self.checked_range = checked_range
-        self.first_mismatch = first_mismatch
-        self.elapsed_ms = elapsed_ms
-
-    def __repr__(self):
-        return "VerificationReport(%s)" % ", ".join(
-            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
+    __slots__ = ()
 
     @property
     def ok(self):
         return self.status == "pass"
 
     def to_dict(self):
-        params = {k: (list(v) if isinstance(v, tuple) else v)
-                  for k, v in self.params.items()}
-        return {
-            "id": self.id,
-            "params": params,
-            "status": self.status,
-            "checked_range": self.checked_range,
-            "first_mismatch": self.first_mismatch,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        d = self._asdict()
+        d["params"] = {k: (list(v) if isinstance(v, tuple) else v)
+                       for k, v in self.params.items()}
+        return d
 
     def to_json(self):
         return json.dumps(self.to_dict())
-
-
-class _Check:
-    __slots__ = ("id", "description", "defaults", "minimal", "fn")
-
-    def __init__(self, cid, description, defaults, minimal, fn):
-        self.id = cid
-        self.description = description
-        self.defaults = defaults
-        self.minimal = minimal
-        self.fn = fn
 
 
 REGISTRY = {}
@@ -146,7 +119,9 @@ def _register(cid, description, defaults, minimal):
         def fn(**params):
             rng, rows = check(**params)
             return rng, _first_mismatch(rows)
-        REGISTRY[cid] = _Check(cid, description, defaults, minimal, fn)
+        REGISTRY[cid] = SimpleNamespace(
+            id=cid, description=description, defaults=defaults,
+            minimal=minimal, fn=fn)
         return check
     return deco
 

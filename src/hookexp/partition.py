@@ -15,9 +15,9 @@ The hook-count census and the hook power moments read `hook_lists(n)`.
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 from math import factorial, lcm, prod
-from operator import ge, mul
+from operator import mul
 
 from .exactnum import BetaPoly
 
@@ -151,12 +151,6 @@ def b_stat_of(parts):
 
 def validate_partition(parts):
     parts = tuple(parts)
-    # fast path: all ints, weakly decreasing, the last (least) part positive
-    if (all(map(isinstance, parts, repeat(int)))
-            and all(map(ge, parts, parts[1:]))
-            and (not parts or parts[-1] >= 1)):
-        return parts
-    # otherwise find the first bad part, for the error message
     for i, row in enumerate(parts):
         if not isinstance(row, int) or row < 1:
             raise ValueError("parts must be positive integers: %r" % (parts,))

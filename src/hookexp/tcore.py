@@ -260,7 +260,8 @@ def u_from_v(vvec, t):
 
 def core_from_v(vvec, t):
     """Decode a V-coding back to its t-core (as a plain tuple of parts);
-    validate it, check it for hooks of length t and re-encode it, once each."""
+    check it for hooks of length t (is_t_core validates the parts first)
+    and re-encode it, once each."""
     u = u_from_v(vvec, t)
     hooks = []
     for x in u:
@@ -268,7 +269,6 @@ def core_from_v(vvec, t):
     hooks.sort(reverse=True)
     length = len(hooks)
     parts = tuple(h - length + i for i, h in enumerate(hooks, start=1))
-    parts = validate_partition(parts)
     _invariant(is_t_core(parts, t), "decoded partition must be a t-core")
     _invariant(_v_of(parts, t) == tuple(vvec),
                "decoded core must round-trip to its V-coding")

@@ -67,6 +67,16 @@ def test_expand_shift_pads_with_zeros():
                            "--shift", "4")
     assert code == 0
     assert out.splitlines() == ["0: 0", "1: 0", "2: 0"]
+    code, out, _ = run_cli("expand", "--exponent", "beta", "--order", "2",
+                           "--shift", "4", "--format", "json")
+    assert (code, json.loads(out)) == (0, [[], [], []])
+    code, out, _ = run_cli("expand", "--exponent", "beta", "--order", "3",
+                           "--shift", "1", "--format", "json")
+    assert (code, json.loads(out)) == (
+        0, [[], ["1"], ["1", "-1"], ["2", "-5/2", "1/2"]])
+    code, out, _ = run_cli("expand", "--exponent", "24", "--order", "3",
+                           "--shift", "5", "--format", "bfile")
+    assert (code, out) == (0, "1 0\n2 0\n3 0\n")
 
 
 def test_verify_single_pass_and_exit_codes():
@@ -253,9 +263,10 @@ def test_coding_usage_errors():
             ("3,1,1", "5", "3,1,1 is not a 5-core"),
             (" 3, 1,1 ", "5", "3,1,1 is not a 5-core"),
             ("2,1", "4", "--t must be an odd integer >= 3"),
-            ("1,3", "5", "parts must be weakly decreasing: (1, 3)"),
-            ("3,0", "5", "parts must be positive integers: (3, 0)"),
-            ("3,x", "5", "invalid literal for int() with base 10: 'x'")):
+            ("1,3", "5", "--parts: parts must be weakly decreasing: (1, 3)"),
+            ("3,0", "5", "--parts: parts must be positive integers: (3, 0)"),
+            ("3,x", "5",
+             "--parts: invalid literal for int() with base 10: 'x'")):
         assert run_cli("coding", "--parts", parts, "--t", t) == (
             2, "", "error: %s\n" % message), parts
 
@@ -403,9 +414,11 @@ def test_enumerating_commands_refuse_too_many_partitions(monkeypatch):
     # the coding search enumerates no partitions, so the limit leaves it be
     code, out, _ = run_cli("cores", "--n", "8", "--t", "3", "--method", "coding")
     assert (code, out) == (0, "4,2,1,1\n")
-    monkeypatch.setenv("HOOKEXP_MAX_PARTITIONS", "many")
-    code, _, err = run_cli("partitions", "--n", "3")
-    assert code == 2 and "HOOKEXP_MAX_PARTITIONS" in err
+    for raw in ("many", "-1"):
+        monkeypatch.setenv("HOOKEXP_MAX_PARTITIONS", raw)
+        code, _, err = run_cli("partitions", "--n", "0")
+        assert code == 2, raw
+        assert "HOOKEXP_MAX_PARTITIONS" in err and repr(raw) in err, raw
 
 
 def test_cores_decode_checks_survive_python_O():

@@ -96,6 +96,16 @@ def test_report_tuples_become_json_lists():
     json.dumps(d)  # must be serializable as-is
 
 
+def test_reports_are_immutable_values():
+    report = verify("pentagonal-beta2", {"N": 6})
+    with pytest.raises(AttributeError):
+        report.status = "fail"
+    assert report == VerificationReport(**report._asdict())
+    assert report != report._replace(status="fail")
+    assert repr(report).startswith(
+        "VerificationReport(id='pentagonal-beta2', params={'N': 6}, ")
+
+
 def test_verify_rejects_unknown_id_and_param():
     with pytest.raises(ValueError):
         verify("not-a-check")
