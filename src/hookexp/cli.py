@@ -100,7 +100,9 @@ def _cmd_expand(args):
     base = max(args.order - args.shift, 0)
     ser = (euler_power_formal(base) if formal
            else euler_power_recurrence(parse_rational(args.exponent), base))
-    coeffs = ser.shift(args.shift).coeffs[:args.order + 1]
+    # Past the order every kept coefficient is zero, so the shift is capped.
+    shift = min(args.shift, args.order + 1)
+    coeffs = ser.shift(shift).coeffs[:args.order + 1]
     if args.format == "plain":
         for n, c in enumerate(coeffs):
             print("%d: %s" % (n, serialize_scalar(c)))

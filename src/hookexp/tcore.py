@@ -126,7 +126,7 @@ class HSet:
 def _checked_core(parts, t):
     """The validated parts of a t-core, for an odd t >= 3."""
     _require_coding_t(t)
-    parts = validate_partition(parts)
+    parts = tuple(parts)
     if not is_t_core(parts, t):
         raise ValueError("%r is not a %d-core" % (parts, t))
     return parts

@@ -77,6 +77,13 @@ def test_expand_shift_pads_with_zeros():
     code, out, _ = run_cli("expand", "--exponent", "24", "--order", "3",
                            "--shift", "5", "--format", "bfile")
     assert (code, out) == (0, "1 0\n2 0\n3 0\n")
+    # A shift far past the order costs no more than one just past it.
+    code, out, _ = run_cli("expand", "--exponent", "24", "--order", "3",
+                           "--shift", "1000000000000")
+    assert (code, out.splitlines()) == (0, ["0: 0", "1: 0", "2: 0", "3: 0"])
+    code, out, _ = run_cli("expand", "--exponent", "beta", "--order", "3",
+                           "--shift", "1000000000000", "--format", "json")
+    assert (code, json.loads(out)) == (0, [[], [], [], []])
 
 
 def test_verify_single_pass_and_exit_codes():
