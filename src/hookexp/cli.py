@@ -22,9 +22,9 @@ from math import factorial
 from .exactnum import format_rational, parse_rational, serialize_scalar
 from .identities import REGISTRY, verify, verify_all
 from .partition import (
+    enumerate_partitions,
     hook_eval_product,
     partition_count,
-    partition_tuples,
     validate_partition,
 )
 from .series import (
@@ -36,14 +36,15 @@ from .series import (
     revert_euler,
 )
 from .tcore import (
+    HSet,
+    _h_elements,
+    _n_of,
+    _u_of,
+    _v_of,
     core_product_from_v,
     core_weight_from_v,
     enumerate_t_cores,
-    h_set,
     is_t_core,
-    n_coding,
-    u_coding,
-    v_coding,
 )
 
 
@@ -195,10 +196,9 @@ def _cmd_partitions(args):
     if t is not None and t < 1:
         raise UsageError("--t-core must be positive")
     _guard_partition_count("--n", args.n)
-    for parts in partition_tuples(args.n):
-        if t is not None and not is_t_core(parts, t):
-            continue
-        print(",".join(map(str, parts)))
+    for parts in enumerate_partitions(args.n):  # streamed: constant memory
+        if t is None or is_t_core(parts, t):
+            print(",".join(map(str, parts)))
     return 0
 
 
@@ -208,10 +208,10 @@ def _cmd_cores(args):
     if args.method == "filter":
         if args.t < 1:
             raise UsageError("--t must be a positive integer")
-        _guard_partition_count("--n", args.n)
-    else:
-        _require_odd_t(args.t)
-    for core in enumerate_t_cores(args.n, args.t, method=args.method):
+        args.t_core = args.t  # the same scan as `partitions --t-core`
+        return _cmd_partitions(args)
+    _require_odd_t(args.t)
+    for core in enumerate_t_cores(args.n, args.t, method="coding"):
         print(",".join(map(str, core)))
     return 0
 
@@ -227,10 +227,10 @@ def _cmd_coding(args):
     _require_odd_t(t)
     if not is_t_core(parts, t):
         raise UsageError("%s is not a %d-core" % (csv or "()", t))
-    hs = h_set(parts, t)
-    u = u_coding(parts, t)
-    v = v_coding(parts, t)
-    nn = n_coding(parts, t)
+    hs = HSet(t, _h_elements(parts, t))  # parts are now a checked t-core
+    u = _u_of(parts, t)
+    v = _v_of(parts, t)
+    nn = _n_of(parts, t)
     weight = core_weight_from_v(v, t)
     if weight != sum(parts):
         raise RuntimeError("weight formula disagrees with |partition|")

@@ -732,7 +732,7 @@ def verify_all(order_budget=None, workers=None):
     """
     if workers is None:
         raw = os.environ.get(WORKERS_ENV, "") or "1"
-        if not raw.strip().isdigit() or int(raw) < 1:
+        if not raw.strip().isdecimal() or int(raw) < 1:
             raise ValueError("%s must be a positive integer, got %r"
                              % (WORKERS_ENV, raw))
         workers = int(raw)

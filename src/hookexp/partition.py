@@ -6,7 +6,7 @@ addressed (i, j), 1-based, row-major; row 1 is the longest row.  The hook
 length of a cell is arm + leg + 1.
 
 A partition is always a plain tuple: `validate_partition` checks one,
-`partition_tuples(n)` lists those of n and the helpers below read them.
+`enumerate_partitions(n)` yields those of n, `partition_tuples(n)` caches them.
 Every sum over partitions of prod(1 - beta/h^2), symbolic or at a rational
 beta, is read from one cached symbolic sweep (`hook_beta_sums_poly`).
 The hook-count census and the hook power moments read `hook_lists(n)`.
@@ -25,9 +25,9 @@ from .exactnum import BetaPoly
 # ---------------------------------------------------------------------------
 # enumeration and counting
 
-@lru_cache(maxsize=None)
-def partition_tuples(n):
-    """All partitions of n as tuples, reverse-lexicographic (largest first).
+def enumerate_partitions(n):
+    """Yield the partitions of n as tuples, reverse-lexicographic (largest
+    first).
 
     Each partition follows from the last by the reverse-lexicographic
     successor (algorithm ZS1 of Zoghbi and Stojmenovic): the last part
@@ -38,11 +38,12 @@ def partition_tuples(n):
     if n < 0:
         raise ValueError("n must be >= 0")
     if not n:
-        return ((),)
+        yield ()
+        return
     x = [1] * n
     x[0] = n
     m, h = 1, 0  # length, index of the last part above 1
-    out = [(n,)]
+    yield (n,)
     while x[0] != 1:
         if x[h] == 2:
             x[h] = 1
@@ -62,13 +63,13 @@ def partition_tuples(n):
                 if t > 1:
                     h += 1
                     x[h] = t
-        out.append(tuple(x[:m]))
-    return tuple(out)
+        yield tuple(x[:m])
 
 
-def enumerate_partitions(n):
-    """Yield the partitions of n as tuples, largest first."""
-    yield from partition_tuples(n)
+@lru_cache(maxsize=None)
+def partition_tuples(n):
+    """All partitions of n, in the order of enumerate_partitions, cached."""
+    return tuple(enumerate_partitions(n))
 
 
 _PARTITION_COUNTS = [1]  # p(0), p(1), ... as far as asked so far
@@ -125,8 +126,11 @@ def hooks_of(parts):
 
 @lru_cache(maxsize=None)
 def hook_lists(n):
-    """Hook-length tuples aligned index-by-index with partition_tuples(n)."""
-    return tuple(hooks_of(parts) for parts in partition_tuples(n))
+    """Hook lengths of each partition of n as bytes, aligned index-by-index
+    with partition_tuples(n).  No hook exceeds n, so n must be <= 255."""
+    if n > 255:
+        raise ValueError("hook_lists needs n <= 255, got %d" % n)
+    return tuple(map(bytes, map(hooks_of, partition_tuples(n))))
 
 
 def contents_of(parts):

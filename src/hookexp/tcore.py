@@ -21,9 +21,9 @@ polynomial in the codings: see core_weight_from_v / core_product_from_v.
 The public codings check their input; _u_of/_v_of/_n_of code a known t-core.
 """
 
-from bisect import bisect_left
 from fractions import Fraction
 from math import isqrt
+from operator import sub
 
 from .exactnum import diff_product, superfactorial
 from .partition import (
@@ -49,21 +49,17 @@ def _require_coding_t(t):
 def is_t_core(parts, t):
     """True when no hook length equals t (any integer t >= 1).
 
-    The hook length arm + leg + 1 of cell (i, j) (0-based) is
-    row_i - j + conj_j - i - 1.  Along a row it strictly decreases, that is
-    j - conj_j strictly increases, so one bisection per row finds the only
-    cell of that row whose hook length can be t.
+    The hook length of cell (i, j) (0-based) is
+    (row_i - i) - (j - conj_j) - 1, so a hook of length t is a match
+    between the sets {row_i - i - 1 - t} and {j - conj_j}.  Every match is a
+    cell: for j >= row_i, j - conj_j >= row_i - i.
     """
     if not isinstance(t, int) or t < 1:
         raise ValueError("t must be a positive integer")
     parts = validate_partition(parts)
     conj = conjugate_of(parts)
-    slope = [j - c for j, c in enumerate(conj)]
-    for i, row in enumerate(parts):
-        j = bisect_left(slope, row - i - 1 - t, 0, row)
-        if j < row and (row - j - 1) + (conj[j] - i - 1) + 1 == t:
-            return False
-    return True
+    return set(map(sub, range(len(conj)), conj)).isdisjoint(
+        map(sub, parts, range(t + 1, t + 1 + len(parts))))
 
 
 def validate_t_compact(elements, t):
@@ -323,7 +319,7 @@ def enumerate_t_cores(n, t, method="filter"):
             raise ValueError("t must be a positive integer")
         return [parts
                 for parts, hooks in zip(partition_tuples(n), hook_lists(n))
-                if t not in hooks]
+                if t > n or t not in hooks]  # bytes hold hooks <= n
     if method != "coding":
         raise ValueError("method must be 'filter' or 'coding'")
     _require_coding_t(t)

@@ -2,6 +2,8 @@ import io
 import json
 import contextlib
 
+import pytest
+
 from hookexp.cli import main
 
 
@@ -146,7 +148,8 @@ def test_verify_all_refuses_flags_it_would_ignore():
 
 
 def test_malformed_worker_count_is_a_usage_error(monkeypatch):
-    for raw in ("x", "0", "-2", "1.5"):
+    # "²" passes str.isdigit but not int()
+    for raw in ("x", "0", "-2", "1.5", "\u00b2"):
         monkeypatch.setenv("HOOKEXP_WORKERS", raw)
         code, out, err = run_cli("verify", "--all", "--order", "0")
         assert (code, out) == (2, ""), raw
@@ -244,9 +247,54 @@ def test_partitions_t_core_filter():
 
 
 def test_cores_methods_agree():
-    a = run_cli("cores", "--n", "8", "--t", "5", "--method", "filter")
-    b = run_cli("cores", "--n", "8", "--t", "5", "--method", "coding")
-    assert a == b and a[0] == 0
+    # and with them the t-core filter of `partitions`
+    for n in (0, 1, 7, 8, 13):
+        for t in range(1, 8):
+            want = run_cli("partitions", "--n", str(n), "--t-core", str(t))
+            assert want[0] == 0
+            assert run_cli("cores", "--n", str(n), "--t", str(t),
+                           "--method", "filter") == want, (n, t)
+            if t % 2 and t >= 3:
+                assert run_cli("cores", "--n", str(n), "--t", str(t),
+                               "--method", "coding") == want, (n, t)
+
+
+def test_listings_stream_without_the_partition_caches():
+    from hookexp.partition import hook_lists, partition_tuples
+    before = partition_tuples.cache_info(), hook_lists.cache_info()
+    for argv in (("partitions", "--n", "20", "--t-core", "3"),
+                 ("cores", "--n", "20", "--t", "3", "--method", "filter")):
+        code, out, _ = run_cli(*argv)
+        assert (code, out) == (0, "8,6,4,2\n4,4,3,3,2,2,1,1\n"), argv
+    assert (partition_tuples.cache_info(), hook_lists.cache_info()) == before
+
+
+FILTER_HWM = """
+import os, runpy, sys
+sys.argv = ["hookexp", "cores", "--n", "45", "--t", "4", "--method", "filter"]
+sys.stdout = open(os.devnull, "w")
+try:
+    runpy.run_module("hookexp.cli", run_name="__main__")
+except SystemExit as exc:
+    assert not exc.code, exc.code
+for line in open("/proc/self/status"):
+    if line.startswith("VmHWM:"):
+        sys.stderr.write(line.split()[1])
+"""
+
+
+def test_filter_listing_keeps_its_memory_flat():
+    # the child's own high-water RSS in kB: holding every partition of 45
+    # and its hooks took it past 60 MiB, the streamed scan stays near start-up
+    import os
+    import subprocess
+    import sys
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status")
+    run = subprocess.run([sys.executable, "-c", FILTER_HWM],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stderr) < 30 * 1024
 
 
 def test_coding_golden_output():
@@ -263,6 +311,24 @@ def test_coding_golden_output():
         "weight: 54\n"
         "beta=25 product: 60035976\n"
     )
+
+
+def test_coding_validates_its_partition_twice(monkeypatch):
+    # once parsing --parts, once in the command's own is_t_core
+    import hookexp.cli
+    import hookexp.tcore
+    calls = []
+    original = hookexp.cli.validate_partition
+
+    def counting(parts):
+        calls.append(parts)
+        return original(parts)
+    for module in (hookexp.cli, hookexp.tcore):
+        monkeypatch.setattr(module, "validate_partition", counting)
+    code, out, _ = run_cli("coding", "--parts", "14,10,6,6,4,4,4,2,2,2",
+                           "--t", "5")
+    assert code == 0 and out.startswith("partition: 14,10,6,6,4,4,4,2,2,2\n")
+    assert len(calls) == 2
 
 
 def test_coding_usage_errors():

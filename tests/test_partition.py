@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hookexp.partition import (
     b_stat_of,
     conjugate_of,
+    enumerate_partitions,
     first_column_hooks_of,
     hook_beta_poly_of,
     hook_beta_sum,
@@ -57,9 +58,25 @@ def test_partition_tuples_match_the_recursive_generator():
     for n in range(31):
         want = tuple(_gen_desc(n, n)) if n else ((),)
         assert partition_tuples(n) == want, n
+        assert tuple(enumerate_partitions(n)) == want, n
         assert len(want) == partition_count(n)
     with pytest.raises(ValueError):
         partition_tuples(-1)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        next(enumerate_partitions(-1))
+
+
+def test_hook_rows_are_bytes_of_the_hooks():
+    for n in range(13):
+        rows = hook_lists(n)
+        assert rows == tuple(bytes(hooks_of(p)) for p in partition_tuples(n))
+
+
+def test_hook_rows_refuse_n_past_a_byte_at_once():
+    before = partition_tuples.cache_info()
+    with pytest.raises(ValueError, match="n <= 255"):
+        hook_lists(256)
+    assert partition_tuples.cache_info() == before
 
 
 def test_enumeration_count_matches_recurrence():

@@ -31,10 +31,10 @@ CORE54 = (14, 10, 6, 6, 4, 4, 4, 2, 2, 2)
 
 
 def test_is_t_core_against_all_hooks():
-    for n in range(15):
+    for n in range(21):
         for parts in partition_tuples(n):
             hooks = hooks_of(parts)
-            for t in range(1, n + 2):
+            for t in range(1, n + 3):
                 assert is_t_core(parts, t) == (t not in hooks), (parts, t)
 
 
@@ -224,6 +224,11 @@ def test_coding_search_matches_the_box_scan():
     for t, top in ((3, 120), (5, 60), (7, 30), (9, 16), (11, 10)):
         for n in range(top):
             assert _codings_of_weight(n, t) == _codings_by_scan(n, t), (n, t)
+
+
+def test_filter_takes_a_t_past_every_hook():
+    # hook rows are bytes, which cannot hold a t above 255
+    assert enumerate_t_cores(5, 300) == list(partition_tuples(5))
 
 
 def test_enumerate_rejects_negative_n():
