@@ -99,8 +99,16 @@ def _cmd_expand(args):
         raise UsageError("--shift must be non-negative")
     formal = args.exponent.strip() == "beta"
     base = max(args.order - args.shift, 0)
-    ser = (euler_power_formal(base) if formal
-           else euler_power_recurrence(parse_rational(args.exponent), base))
+    if formal:
+        ser = euler_power_formal(base)
+    else:
+        try:  # the parse is quadratic, so past 4300 digits it is not run
+            if max(map(len, args.exponent.strip().lstrip("+-").split("/"))) > 4300:
+                raise ValueError("numerator or denominator over 4300 digits")
+            exponent = parse_rational(args.exponent)
+        except ValueError as exc:
+            raise UsageError("--exponent: %s" % exc) from None
+        ser = euler_power_recurrence(exponent, base)
     # Past the order every kept coefficient is zero, so the shift is capped.
     shift = min(args.shift, args.order + 1)
     coeffs = ser.shift(shift).coeffs[:args.order + 1]
@@ -377,6 +385,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if not exc.code else int(exc.code)
+    # exact output has no digit cap; in-process callers get theirs back
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
@@ -392,6 +404,9 @@ def main(argv=None):
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

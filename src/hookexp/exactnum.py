@@ -43,6 +43,20 @@ def superfactorial(k):
     return prod(map(factorial, range(1, k + 1)))
 
 
+def power_by_squaring(base, n, one, what):
+    """base ** n by repeated squaring from the identity `one`; `what` names
+    the type in the error for an n that is not a non-negative int."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("%s powers must be non-negative integers" % what)
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
 def format_rational(value):
     """Render an exact integer or Fraction as "p/q", or "p" when q == 1."""
     q = Fraction(value)
@@ -164,16 +178,7 @@ class BetaPoly:
         return NotImplemented
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("BetaPoly powers must be non-negative integers")
-        out = BetaPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power_by_squaring(self, n, BetaPoly((1,)), "BetaPoly")
 
     def eval(self, point):
         """Evaluate at an exact point (Horner)."""

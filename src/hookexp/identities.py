@@ -453,17 +453,26 @@ def _check_thm_6_9(N):
         partition_gf(N) * (divisor_power_gf(-3, N) + lg * lg))
 
 
-def _hook_moment(m, k):
-    """sum over partitions of m of f_lambda^2 e_k(h^2): since f^2/m!^2 is
-    1/prod h^2, it is (-1)^(m-k) m!^2 [beta^(m-k)] of the sweep's slot m."""
-    c = hook_beta_sum_poly(m).coefficient(m - k) * factorial(m) ** 2
+def _moment(poly, m, k):
+    """(-1)^(m-k) m!^2 [beta^(m-k)] poly.  On slot m of the hook sums (or of
+    euler_power_formal) it is the sum over partitions of m of
+    f_lambda^2 e_k(h^2), since f^2/m!^2 is 1/prod h^2."""
+    c = poly.coefficient(m - k) * factorial(m) ** 2
     return -c if (m - k) % 2 else c
 
 
+def _hook_moment(m, k):
+    return _moment(hook_beta_sum_poly(m), m, k)
+
+
 def _moment_closed_form(n, k, closed):
-    """Rows comparing _hook_moment(m, k) with the closed form closed(m)."""
-    return "n=0..%d" % n, (("n=%d" % m, _hook_moment(m, k), closed(m))
-                           for m in range(n + 1))
+    """Rows comparing _hook_moment(m, k) with the series route and with the
+    closed form closed(m), degree by degree."""
+    series = euler_power_formal(n)
+    return "n=0..%d" % n, _by_degree(
+        (("n=%d (sweep vs series)" % m, _hook_moment(m, k),
+          _moment(series[m], m, k)) for m in range(n + 1)),
+        (("n=%d" % m, _hook_moment(m, k), closed(m)) for m in range(n + 1)))
 
 
 @_register("marked-hook",

@@ -15,7 +15,7 @@ reversion of x * (Euler product).
 from fractions import Fraction
 from math import factorial, perm
 
-from .exactnum import BetaPoly
+from .exactnum import BetaPoly, power_by_squaring
 from .partition import (
     b_stat_of,
     contents_of,
@@ -85,9 +85,6 @@ class Series:
     def map(self, fn):
         return Series([fn(c) for c in self.coeffs])
 
-    def __neg__(self):
-        return Series([-c for c in self.coeffs])
-
     def __add__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
@@ -117,36 +114,20 @@ class Series:
                     out[i + j] += ca * cb
         return Series(out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, BetaPoly)):
-            return Series([other * c for c in self.coeffs])
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __pow__(self, m):
-        if not isinstance(m, int) or m < 0:
-            raise ValueError("series powers must be non-negative integers")
         zero, one = self._zero_one()
-        out = Series([one] + [zero] * self.order)
-        base = self
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base
-            m >>= 1
-        return out
+        return power_by_squaring(self, m, Series([one] + [zero] * self.order),
+                                 "series")
 
     def inverse(self):
         """Multiplicative inverse; the constant term must be a unit."""
         zero, one = self._zero_one()
         c0 = self.coeffs[0]
-        if isinstance(c0, BetaPoly):
-            if c0.degree != 0:
-                raise ValueError("constant term must be invertible")
-            inv0 = BetaPoly.constant(Fraction(1) / c0.coefficient(0))
-        else:
-            if not c0:
-                raise ValueError("constant term must be invertible")
-            inv0 = Fraction(1) / c0
+        if not c0:
+            raise ValueError("constant term must be invertible")
+        inv0 = Fraction(1) / c0
         out = [zero] * (self.order + 1)
         out[0] = one * inv0
         for n in range(1, self.order + 1):

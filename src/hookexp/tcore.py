@@ -21,6 +21,7 @@ polynomial in the codings: see core_weight_from_v / core_product_from_v.
 The public codings check their input; _u_of/_v_of/_n_of code a known t-core.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 from operator import sub
@@ -81,39 +82,26 @@ def validate_t_compact(elements, t):
                 raise ValueError("missing %d below positive element %d" % (e - t, e))
 
 
-class HSet:
+class HSet(namedtuple("HSet", ("t", "elements"))):
     """Extended first-column hook set of a t-core; t-compact by construction.
 
-    Immutable; two H-sets are equal when their t and elements are.
+    An immutable named tuple (t, elements).  Every way of building one
+    checks it: the constructor, _make, _replace and unpickling.
     """
 
-    __slots__ = ("t", "elements")
+    __slots__ = ()
 
-    def __init__(self, t, elements):
+    def __new__(cls, t, elements):
         _require_coding_t(t)
         validate_t_compact(elements, t)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "elements", elements)
+        return super().__new__(cls, t, elements)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HSet is immutable")
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
-    def __delattr__(self, name):
-        raise AttributeError("HSet is immutable")
-
-    def __reduce__(self):  # unpickling goes through __init__ and its checks
-        return HSet, (self.t, self.elements)
-
-    def __eq__(self, other):
-        if not isinstance(other, HSet):
-            return NotImplemented
-        return (self.t, self.elements) == (other.t, other.elements)
-
-    def __hash__(self):
-        return hash((self.t, self.elements))
-
-    def __repr__(self):
-        return "HSet(t=%r, elements=%r)" % (self.t, self.elements)
+    def __reduce__(self):  # pickle protocols 0 and 1 would skip __new__
+        return HSet, tuple(self)
 
     def sorted_desc(self):
         return tuple(sorted(self.elements, reverse=True))

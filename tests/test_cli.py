@@ -64,6 +64,45 @@ def test_expand_rejects_bad_exponent_and_bfile_beta():
     assert code == 2  # fractional coefficients cannot go into a b-file
 
 
+def test_expand_exponent_errors_name_the_flag():
+    for exponent, message in (
+            ("abc", "not a rational: 'abc'"),
+            ("1/0", "zero denominator: '1/0'"),
+            ("1/" + "7" * 4401, "numerator or denominator over 4300 digits"),
+            ("-" + "7" * 4301, "numerator or denominator over 4300 digits")):
+        assert run_cli("expand", "--exponent", exponent, "--order", "3") == (
+            2, "", "error: --exponent: %s\n" % message), exponent[:9]
+    for exponent in ("1/" + "7" * 4300, "-" + "7" * 4300):
+        assert run_cli("expand", "--exponent", exponent, "--order", "1")[0] == 0
+
+
+def test_exact_output_is_not_cut_at_4300_digits():
+    import sys
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = cap()
+    code, out, err = run_cli("expand", "--exponent", "1/1" + "0" * 100,
+                             "--order", "45")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 46 and lines[-1].startswith("45: -")
+    assert max(map(len, lines[-1][5:].split("/"))) > 4300
+    assert cap() == before  # an in-process caller keeps its own cap
+
+
+def test_negative_sizes_are_usage_errors_naming_the_flag():
+    for argv, message in (
+            (("expand", "--exponent", "1", "--order", "-1"), "--order"),
+            (("expand", "--exponent", "1", "--order", "3", "--shift", "-1"),
+             "--shift"),
+            (("revert", "--order", "-1"), "--order"),
+            (("partitions", "--n", "-1"), "--n"),
+            (("cores", "--n", "-1", "--t", "3"), "--n")):
+        assert run_cli(*argv) == (
+            2, "", "error: %s must be non-negative\n" % message), argv
+    assert run_cli("partitions", "--n", "3", "--t-core", "0") == (
+        2, "", "error: --t-core must be positive\n")
+
+
 def test_expand_shift_pads_with_zeros():
     code, out, _ = run_cli("expand", "--exponent", "1", "--order", "2",
                            "--shift", "4")

@@ -70,6 +70,17 @@ def test_betapoly_zero_and_pow():
         b ** -1
 
 
+def test_betapoly_powers():
+    p = BetaPoly([1, Fraction(-1, 2), 3])
+    assert p ** 3 == p * p * p
+    assert p ** 0 == BetaPoly.constant(1)
+    for bad in (-1, 2.0):
+        with pytest.raises(
+                ValueError,
+                match="^BetaPoly powers must be non-negative integers$"):
+            p ** bad
+
+
 def test_betapoly_subst_linear():
     b = BetaPoly.beta()
     p = b * b - 3 * b + 2

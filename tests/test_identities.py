@@ -353,6 +353,14 @@ MULTI_ROUTE_SKEWS = [
     # prod (c + 1 - beta) over (1,1,1,1) vanishes at beta = -2
     ("magic", {"N": 10}, {"schur_principal_x": _bump_shape((1, 1, 1, 1), 10)},
      "beta=-3/2 x^10"),
+    # adding 1 to a BetaPoly moves its constant term, which the moment of
+    # order k reads at n = k
+    ("marked-hook", {"n": 6}, {"euler_power_formal": _bump_coefficient(1)},
+     "n=1 (sweep vs series)"),
+    ("prop-6-11", {"n": 6}, {"euler_power_formal": _bump_coefficient(2)},
+     "n=2 (sweep vs series)"),
+    ("prop-6-12", {"n": 6}, {"euler_power_formal": _bump_coefficient(3)},
+     "n=3 (sweep vs series)"),
 ]
 
 

@@ -47,6 +47,19 @@ def test_series_basics():
     assert s * 2 == s + s
 
 
+def test_powers_and_scalar_products():
+    s = Series([Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(5)])
+    assert s ** 3 == s * s * s
+    assert s ** 0 == Series([Fraction(1)] + [Fraction(0)] * 3)
+    for k in (3, Fraction(-2, 7), BetaPoly([1, -1])):
+        assert k * s == s * k
+    for bad in (-1, 2.0):
+        with pytest.raises(
+                ValueError,
+                match="^series powers must be non-negative integers$"):
+            s ** bad
+
+
 def test_inverse_of_the_euler_product_is_the_partition_series():
     p = pentagonal_series(N).inverse()
     for n in range(N + 1):

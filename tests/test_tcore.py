@@ -82,6 +82,31 @@ def test_h_set_is_an_immutable_value():
         del hs.elements
 
 
+def test_h_set_is_a_named_tuple_that_validates_every_build():
+    import pickle
+    hs = h_set(CORE54, 5)
+    assert hs == (5, hs.elements) and len(hs) == 2 and tuple(hs)[0] == 5
+    assert repr(hs) == "HSet(t=5, elements=%r)" % (hs.elements,)
+    not_compact = hs.elements - {7}
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(hs, protocol))
+        assert type(back) is HSet and back == hs, protocol
+        forged = tuple.__new__(HSet, (5, not_compact))  # skips the checks
+        with pytest.raises(ValueError):
+            pickle.loads(pickle.dumps(forged, protocol))
+    for build in (lambda: hs._replace(elements=not_compact),
+                  lambda: HSet._make((5, not_compact)),
+                  lambda: hs._replace(t=4)):
+        with pytest.raises(ValueError):
+            build()
+    assert type(hs._replace(t=5)) is HSet
+    for field in ("t", "elements"):
+        with pytest.raises(AttributeError):
+            setattr(hs, field, 7)
+        with pytest.raises(AttributeError):
+            delattr(hs, field)
+
+
 def test_codings_of_the_worked_core():
     assert u_coding(CORE54, 5) == (-5, -4, 12, 23, 9)
     assert v_coding(CORE54, 5) == (5, 16, 2, -12, -11)
