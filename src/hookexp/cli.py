@@ -10,6 +10,8 @@ they refuse an n with more than HOOKEXP_MAX_PARTITIONS partitions
 (default 10^6, about n = 60).  `verify` with `--order N` or `--n N`, and
 `revert --method lagrange --order N`, walk the partitions of every size up
 to N; they refuse an N with more than that many in all (about N = 48).
+`verify --all --order B` is guarded at the largest size it runs, which
+budget_params caps at the largest default.
 """
 
 import argparse
@@ -20,7 +22,7 @@ from fractions import Fraction
 from math import factorial
 
 from .exactnum import format_rational, parse_rational, serialize_scalar
-from .identities import REGISTRY, verify, verify_all
+from .identities import REGISTRY, budget_params, verify, verify_all
 from .partition import (
     enumerate_partitions,
     hook_eval_product,
@@ -123,8 +125,10 @@ def _cmd_expand(args):
     else:  # bfile: 1-based integer lines "n a(n)"
         if formal:
             raise UsageError("bfile output needs a numeric --exponent")
-        for n in range(1, args.order + 1):
-            print("%d %d" % (n, _as_int(coeffs[n], "coefficient of x^%d" % n)))
+        values = [_as_int(coeffs[n], "--format bfile: coefficient of x^%d" % n)
+                  for n in range(1, args.order + 1)]  # all checked first
+        for n, v in enumerate(values, 1):
+            print("%d %d" % (n, v))
     return 0
 
 
@@ -145,7 +149,9 @@ def _cmd_verify(args):
         if args.order is not None:
             if args.order < 0:
                 raise UsageError("--order must be at least 0 with --all")
-            _guard_partition_count("--order", args.order, up_to=True)
+            _guard_partition_count("--order", max(
+                budget_params(e, args.order)[key]
+                for e in REGISTRY.values() for key in e.minimal), up_to=True)
         reports = verify_all(order_budget=args.order)
     else:
         if not args.id:

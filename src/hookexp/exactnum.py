@@ -121,7 +121,8 @@ class BetaPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(("BetaPoly", self.coeffs))
+        # of degree <= 0 it equals its scalar, so it must hash as one
+        return hash(self.coeffs if self.degree > 0 else self.coefficient(0))
 
     def __neg__(self):
         return BetaPoly(tuple(-c for c in self.coeffs))

@@ -26,7 +26,7 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
-from math import factorial, prod
+from math import factorial, isqrt, prod
 from types import SimpleNamespace
 
 from .exactnum import BetaPoly, diff_product, serialize_scalar
@@ -209,13 +209,12 @@ def _check_corollary_2_4(n, k):
            "convolution powers of the partition series vs hook sums at beta=-k",
            {"n": 10, "k": 3}, {"n": 0, "k": 0})
 def _check_corollary_2_6(n, k):
-    pl = [partition_count(i) for i in range(n + 1)]
+    pgf = Series([partition_count(i) for i in range(n + 1)])
 
     def rows():
-        conv = [1] + [0] * n  # (partition gf)^0
+        conv = Series([1] + [0] * n)  # (partition gf)^0
         for kk in range(k + 1):
-            conv = [sum(conv[j] * pl[m - j] for j in range(m + 1))
-                    for m in range(n + 1)]
+            conv = conv * pgf
             yield from _coefficients("k=%d x^%%d" % kk, conv,
                                      hook_beta_sums(n, -kk))
     return "n=0..%d, k=0..%d" % (n, k), rows()
@@ -413,17 +412,26 @@ def _check_prop_6_4(n):
     return "n=0..%d" % n, rows()
 
 
+def _prefix_product_sum(N, terms):
+    """Coefficients x^0..x^N of sum c x^e / prod_{i<=j} (1 - x^i) over the
+    (j, c, e) triples, whose j are consecutive from 0 or 1: one running
+    product array, divided by 1 - x^j as each j > 0 arrives."""
+    acc = [0] * (N + 1)
+    prodarr = [1] + [0] * N
+    for j, c, e in terms:
+        if j:
+            geometric_divide(prodarr, j)
+        for i in range(N + 1 - e):
+            acc[e + i] += c * prodarr[i]
+    return acc
+
+
 @_register("cor-6-7",
            "total parts = reciprocal-hook sum; divisor convolution and m-sum forms",
            {"N": 25}, {"N": 0})
 def _check_cor_6_7(N):
     conv = partition_gf(N) * divisor_power_gf(0, N)
-    msum = [0] * (N + 1)
-    prodarr = [1] + [0] * N
-    for j in range(1, N + 1):
-        geometric_divide(prodarr, j)
-        for i in range(j, N + 1):
-            msum[i] += j * prodarr[i - j]
+    msum = _prefix_product_sum(N, ((j, j, j) for j in range(1, N + 1)))
     parts = [sum(map(len, partition_tuples(m))) for m in range(N + 1)]
     hooks = [hook_power_moment(m, -1) for m in range(N + 1)]
     return "x^0..x^%d, four routes" % N, _by_degree(
@@ -632,17 +640,9 @@ def _check_thm_8_3(N):
            {"N": 30}, {"N": 0})
 def _check_euler_cor_8_4(N):
     pent = pentagonal_series(N)
-    acc = [0] * (N + 1)
-    acc[0] = 1
-    prodarr = [1] + [0] * N
-    r = 1
-    while r * (r + 1) // 2 <= N:
-        geometric_divide(prodarr, r)
-        e = r * (r + 1) // 2
-        sign = (-1) ** r
-        for i in range(N - e + 1):
-            acc[e + i] += sign * prodarr[i]
-        r += 1
+    # r(r + 1)/2 <= N exactly for the r below (isqrt(8N + 1) + 1) // 2
+    acc = _prefix_product_sum(N, ((r, (-1) ** r, r * (r + 1) // 2)
+                                  for r in range((isqrt(8 * N + 1) + 1) // 2)))
     return "x^0..x^%d" % N, _by_degree(
         _coefficients("x^%d (column sum vs sparse)", acc, pent),
         _coefficients("x^%d (sparse vs exp)", pent, euler_power(1, N)))

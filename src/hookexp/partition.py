@@ -7,15 +7,17 @@ length of a cell is arm + leg + 1.
 
 A partition is always a plain tuple: `validate_partition` checks one,
 `enumerate_partitions(n)` yields those of n, `partition_tuples(n)` caches them.
-Every sum over partitions of prod(1 - beta/h^2), symbolic or at a rational
-beta, is read from one cached symbolic sweep (`hook_beta_sums_poly`).
-The hook-count census and the hook power moments read `hook_lists(n)`.
+The sums over the partitions of n of prod(1 - beta/h^2) (`hook_beta_sum*`)
+are read from one cached symbolic sweep; `hook_beta_poly_of` and
+`hook_eval_product` give the product of one partition, for the checks that
+sum it themselves.  The hook-count census and the hook power moments read
+`hook_lists(n)`.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, count
 from math import factorial, lcm, prod
 from operator import mul
 
@@ -72,30 +74,35 @@ def partition_tuples(n):
     return tuple(enumerate_partitions(n))
 
 
+def _pentagonal_terms(order):
+    """(e, c) for the nonzero c = [x^e] prod (1 - x^m), 1 <= e <= order, in
+    increasing e: the generalized pentagonal numbers e = k(3k -+ 1)/2,
+    k >= 1, with c = (-1)^k (Euler's pentagonal theorem)."""
+    out = []
+    for k in count(1):
+        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if e > order:
+                return out
+            out.append((e, (-1) ** k))
+
+
 _PARTITION_COUNTS = [1]  # p(0), p(1), ... as far as asked so far
 
 
 def partition_count(n):
-    """p(n) by the pentagonal-number recurrence (no enumeration).
+    """p(n) by Euler's recurrence p(m) = -sum c p(m - e) over the terms
+    (e, c) of _pentagonal_terms (no enumeration).
 
-    The table grows bottom-up, so a large n needs no deep recursion.
+    The table grows bottom-up, so a large n needs no deep recursion, and
+    the term list is built only when the table has to grow.
     """
     if n < 0:
         return 0
     table = _PARTITION_COUNTS
-    for m in range(len(table), n + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            if g1 > m:
-                break
-            sign = 1 if k % 2 else -1
-            total += sign * table[m - g1]
-            if g1 + k <= m:
-                total += sign * table[m - g1 - k]
-            k += 1
-        table.append(total)
+    if n >= len(table):
+        terms = _pentagonal_terms(n)
+        for m in range(len(table), n + 1):
+            table.append(-sum(c * table[m - e] for e, c in terms if e <= m))
     return table[n]
 
 

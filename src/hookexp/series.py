@@ -13,10 +13,11 @@ reversion of x * (Euler product).
 """
 
 from fractions import Fraction
-from math import factorial, perm
+from math import factorial, isqrt, perm
 
 from .exactnum import BetaPoly, power_by_squaring
 from .partition import (
+    _pentagonal_terms,
     b_stat_of,
     contents_of,
     hook_beta_sums_poly,
@@ -209,13 +210,6 @@ def euler_power(s, order):
     return Series([-s * c for c in lg.coeffs]).exp()
 
 
-def _pentagonal_terms(order):
-    """(k, f_k) for the nonzero f_k = [x^k] prod (1 - x^m), 1 <= k <= order,
-    in increasing k; there are O(sqrt(order)) of them."""
-    return [(k, int(c)) for k, c in enumerate(pentagonal_series(order).coeffs)
-            if k and c]
-
-
 def euler_power_recurrence(s, order):
     """prod_{m>=1} (1 - x^m)^s for an exact rational s = p/q, by the
     Euler / J.C.P. Miller power recurrence (Knuth, TAOCP vol. 2, 4.7) over
@@ -223,10 +217,10 @@ def euler_power_recurrence(s, order):
 
         q n a_n = sum_{k>=1} ((p + q) k - q n) f_k a_{n-k},
 
-    where only the O(sqrt(n)) pentagonal k contribute.  A coefficient stays
-    a Python int while it is integral (always, for integer s) and becomes a
-    Fraction otherwise; every coefficient of the result is a Fraction, as
-    with euler_power.
+    where only the O(sqrt(n)) pentagonal k of _pentagonal_terms contribute.
+    The coefficients are Python ints up to the first non-integral one (all
+    of them, for integer s); every coefficient of the result is a Fraction,
+    as with euler_power.
     """
     s = Fraction(s)
     p, q = s.numerator, s.denominator
@@ -249,8 +243,6 @@ def euler_power_recurrence(s, order):
                 c = Fraction(acc, den)
         else:
             c = acc / den
-            if c.denominator == 1:
-                c = c.numerator
         a.append(c)
     return Series([Fraction(c) for c in a])
 
@@ -298,16 +290,12 @@ def euler_product_direct(s, order, step=1):
         raise ValueError("direct product route needs an integer exponent")
     arr = [0] * (order + 1)
     arr[0] = 1
-    for m in range(1, order // step + 1):
-        d = step * m
-        if s >= 0:
-            for _ in range(s):
-                for i in range(order, d - 1, -1):
-                    arr[i] -= arr[i - d]
-        else:
-            for _ in range(-s):
-                for i in range(d, order + 1):
-                    arr[i] += arr[i - d]
+    for d in range(step, order + 1, step):
+        for _ in range(s):
+            for i in range(order, d - 1, -1):
+                arr[i] -= arr[i - d]
+        for _ in range(-s):
+            geometric_divide(arr, d)
     return Series([Fraction(a) for a in arr])
 
 
@@ -319,31 +307,26 @@ def partition_gf(order):
 # ---------------------------------------------------------------------------
 # classical sparse expansions
 
-def pentagonal_series(order):
-    """prod (1 - x^m) = sum_{k in Z} (-1)^k x^{k(3k+1)/2}."""
+def _sparse(order, terms):
+    """The Fraction series sum c x^e over the (exponent, coefficient) terms,
+    to order `order`; a term past the order is dropped."""
     out = [0] * (order + 1)
-    k = 0
-    while True:
-        hit = False
-        for kk in ((k, -k) if k else (0,)):
-            e = kk * (3 * kk + 1) // 2
-            if e <= order:
-                out[e] += (-1) ** (kk % 2)
-                hit = True
-        if not hit:
-            break
-        k += 1
+    for e, c in terms:
+        if e <= order:
+            out[e] += c
     return Series([Fraction(a) for a in out])
+
+
+def pentagonal_series(order):
+    """prod (1 - x^m) = sum_{k in Z} (-1)^k x^{k(3k+1)/2}: the constant 1
+    and the terms of _pentagonal_terms."""
+    return _sparse(order, [(0, 1)] + _pentagonal_terms(order))
 
 
 def jacobi_cube_series(order):
     """prod (1 - x^m)^3 = sum_{m>=0} (-1)^m (2m+1) x^{m(m+1)/2}."""
-    out = [0] * (order + 1)
-    m = 0
-    while m * (m + 1) // 2 <= order:
-        out[m * (m + 1) // 2] += (-1) ** m * (2 * m + 1)
-        m += 1
-    return Series([Fraction(a) for a in out])
+    return _sparse(order, ((m * (m + 1) // 2, (-1) ** m * (2 * m + 1))
+                           for m in range(isqrt(2 * order) + 1)))
 
 
 def _half(v):
@@ -360,23 +343,12 @@ def eta8_double_sum(order):
       +(3k+1)(3m+1)(3k+3m+2)/2 at exponent k^2+k+m^2+m+km, and
       -(3k+2)(3m+2)(3k+3m+4)/2 at exponent k^2+k+m^2+m+(k+1)(m+1).
     """
-    out = [0] * (order + 1)
-    k = 0
-    while k * k + k <= order:
-        m = 0
-        while True:
-            base = k * k + k + m * m + m
-            e1 = base + k * m
-            e2 = base + (k + 1) * (m + 1)
-            if e1 > order and e2 > order:
-                break
-            if e1 <= order:
-                out[e1] += _half((3 * k + 1) * (3 * m + 1) * (3 * k + 3 * m + 2))
-            if e2 <= order:
-                out[e2] -= _half((3 * k + 2) * (3 * m + 2) * (3 * k + 3 * m + 4))
-            m += 1
-        k += 1
-    return Series([Fraction(a) for a in out])
+    r = range(isqrt(order) + 1)  # both exponents are at least k^2 and m^2
+    return _sparse(order, (term for k in r for m in r for term in (
+        (k * k + k + m * m + m + k * m,
+         _half((3 * k + 1) * (3 * m + 1) * (3 * k + 3 * m + 2))),
+        (k * k + k + m * m + m + (k + 1) * (m + 1),
+         -_half((3 * k + 2) * (3 * m + 2) * (3 * k + 3 * m + 4))))))
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,16 @@ def test_expand_rejects_bad_exponent_and_bfile_beta():
     assert code == 2  # fractional coefficients cannot go into a b-file
 
 
+def test_expand_bfile_checks_every_coefficient_before_printing():
+    # x^2 prod (1 - x^m)^(1/3) has -1/3 at x^3: nothing may be printed first
+    code, out, err = run_cli("expand", "--exponent", "1/3", "--order", "5",
+                             "--shift", "2", "--format", "bfile")
+    assert (code, out) == (2, "")
+    assert "--format bfile: coefficient of x^3 is not an integer" in err
+    assert run_cli("expand", "--exponent", "1/3", "--order", "1", "--shift",
+                   "1", "--format", "bfile") == (0, "1 1\n", "")
+
+
 def test_expand_exponent_errors_name_the_flag():
     for exponent, message in (
             ("abc", "not a rational: 'abc'"),
@@ -255,6 +265,16 @@ def test_verify_all_with_budget():
     assert len(reports) == 34
     assert [r["id"] for r in reports] == sorted(r["id"] for r in reports)
     assert all(r["status"] == "pass" for r in reports)
+
+
+def test_verify_all_budget_past_the_defaults_runs_the_defaults():
+    # --all clamps every range parameter to min(default, budget), so a
+    # budget of 60 runs nothing past 30 and the guard must not refuse it
+    def reports(*budget):
+        code, out, err = run_cli("verify", "--all", *budget, "--format", "json")
+        assert (code, err) == (1, ""), budget
+        return [dict(r, elapsed_ms=None) for r in json.loads(out)]
+    assert reports("--order", "60") == reports()
 
 
 def test_verify_all_plain_summary_line():

@@ -81,6 +81,19 @@ def test_betapoly_powers():
             p ** bad
 
 
+def test_betapoly_hash_agrees_with_equality():
+    for poly, scalar in ((BetaPoly((3,)), 3), (BetaPoly(), 0),
+                         (BetaPoly((Fraction(1, 2),)), Fraction(1, 2))):
+        assert poly == scalar and hash(poly) == hash(scalar)
+        assert len({poly, scalar}) == 1
+        assert {scalar: 1}.get(poly) == 1
+    b = BetaPoly.beta()
+    for p, q in ((b * b - 3 * b + 2, (b - 1) * (b - 2)),
+                 (b, BetaPoly([Fraction(0), Fraction(2, 2)]))):
+        assert p == q and hash(p) == hash(q)
+        assert len({p, q}) == 1
+
+
 def test_betapoly_subst_linear():
     b = BetaPoly.beta()
     p = b * b - 3 * b + 2

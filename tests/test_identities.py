@@ -75,6 +75,18 @@ def test_prop_6_12_fails_where_the_recorded_closed_form_is_wrong():
         int(report.first_mismatch["rhs"]) == 36
 
 
+def test_triple_hook_moment_has_constant_term_minus_552():
+    # the corrected prop-6-12 polynomial, and its distance from the -600 form
+    for n in range(16):
+        cubic = n * (n - 1) * (n - 2)
+        corrected = Fraction(cubic * (27 * n ** 3 - 174 * n ** 2 + 511 * n - 552),
+                             48) * factorial(n)
+        recorded = Fraction(cubic * (27 * n ** 3 - 174 * n ** 2 + 511 * n - 600),
+                            48) * factorial(n)
+        assert identities._hook_moment(n, 3) == corrected, n
+        assert corrected - recorded == cubic * factorial(n), n
+
+
 def test_report_dict_shape():
     report = verify("pentagonal-beta2", {"N": 6})
     d = report.to_dict()

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from hookexp.exactnum import BetaPoly
 from hookexp.partition import (
+    _pentagonal_terms,
     hook_beta_sum,
     hook_beta_sum_poly,
     partition_count,
@@ -136,6 +137,25 @@ def test_sparse_classical_series():
     assert pentagonal_series(N) == euler_power(1, N)
     assert jacobi_cube_series(N) == euler_power(3, N)
     assert eta8_double_sum(N) == euler_power(8, N)
+
+
+def test_pentagonal_terms_and_sparse_series_match_the_direct_product():
+    # the explicit factors are the one route that shares no pentagonal list
+    direct = euler_product_direct(1, 500).coeffs
+    assert _pentagonal_terms(500) == [(e, c) for e, c in enumerate(direct)
+                                      if e and c]
+    inverse = euler_product_direct(-1, 400)
+    assert [partition_count(n) for n in range(401)] == inverse.coeffs
+    for s, sparse in ((1, pentagonal_series), (3, jacobi_cube_series),
+                      (8, eta8_double_sum)):
+        assert sparse(200) == euler_product_direct(s, 200), s
+
+
+def test_direct_product_with_a_step_spreads_the_plain_one():
+    plain = euler_product_direct(-2, 13)
+    spread = [0] * 41
+    spread[::3] = plain.coeffs
+    assert euler_product_direct(-2, 40, step=3).coeffs == spread
 
 
 def test_pentagonal_prefix():
