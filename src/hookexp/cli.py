@@ -59,9 +59,10 @@ class UsageError(ValueError):
     pass
 
 
-def _guard_partition_count(flag, n, up_to=False):
+def _guard_partition_count(flag, n, up_to=False, t=None):
     """Refuse an n whose partitions (of n, or of every size up to n) are
-    too many to enumerate."""
+    too many to enumerate; point a t-core listing at the coding search when
+    it takes the t (none given, or an odd t >= 3)."""
     raw = os.environ.get(MAX_PARTITIONS_ENV, "")
     try:
         limit = int(raw) if raw else DEFAULT_MAX_PARTITIONS
@@ -77,8 +78,9 @@ def _guard_partition_count(flag, n, up_to=False):
             "enumerate (%s); %s"
             % (flag, n, count, " of sizes up to %d" % n if up_to else "",
                limit, MAX_PARTITIONS_ENV,
-               "lower %s" % flag if up_to else
-               "for t-cores with odd t >= 3 use `cores --method coding`"))
+               "for t-cores with odd t >= 3 use `cores --method coding`"
+               if not up_to and (t is None or t >= 3 and t % 2) else
+               "lower %s" % flag))
 
 
 def _require_odd_t(t):
@@ -209,7 +211,7 @@ def _cmd_partitions(args):
     t = args.t_core
     if t is not None and t < 1:
         raise UsageError("--t-core must be positive")
-    _guard_partition_count("--n", args.n)
+    _guard_partition_count("--n", args.n, t=t)
     for parts in enumerate_partitions(args.n):  # streamed: constant memory
         if t is None or is_t_core(parts, t):
             print(",".join(map(str, parts)))

@@ -474,13 +474,13 @@ def _hook_moment(m, k):
 
 
 def _moment_closed_form(n, k, closed):
-    """Rows comparing _hook_moment(m, k) with the series route and with the
-    closed form closed(m), degree by degree."""
-    series = euler_power_formal(n)
+    """Rows comparing the moments of one sweep, hook_beta_sums_poly(n), with
+    the series route and with the closed form closed(m), degree by degree."""
+    sweep, series = hook_beta_sums_poly(n), euler_power_formal(n)
     return "n=0..%d" % n, _by_degree(
-        (("n=%d (sweep vs series)" % m, _hook_moment(m, k),
+        (("n=%d (sweep vs series)" % m, _moment(sweep[m], m, k),
           _moment(series[m], m, k)) for m in range(n + 1)),
-        (("n=%d" % m, _hook_moment(m, k), closed(m)) for m in range(n + 1)))
+        (("n=%d" % m, _moment(sweep[m], m, k), closed(m)) for m in range(n + 1)))
 
 
 @_register("marked-hook",

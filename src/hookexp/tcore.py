@@ -1,30 +1,28 @@
 """t-cores and their integer-vector codings.
 
 A partition is a t-core when no cell has hook length t.  For odd t >= 3 a
-t-core is encoded three equivalent ways, all indexed by residues mod t:
+t-core is encoded three equivalent ways, each listed by residue mod t
+(entry i is i mod t), each one affine map and one placement by residue:
 
- * U-coding: in the "extended first-column hook set"
-   H = {first-column hooks} union {-1, ..., -t}, take the largest element of
-   each residue class mod t, listed as (u_0, ..., u_{t-1}) with u_i = i mod t
-   (u_0 is always -t).
+ * U-coding: the largest element of each residue class of
+   H = {first-column hooks} union {-1, ..., -t} (u_0 = -t), read off the
+   parts: the first-column hooks rise along the reversed parts, so a class
+   keeps its last hook, or i - t if it has none.
 
- * V-coding: subtract the common shift sum(U)/t from every u_i and list by
-   residue again; the result sums to zero.
+ * V-coding: U shifted by sum(U)/t to sum zero, placed by residue again.
 
- * N-coding: integer vector (n_0, ..., n_{t-1}) with sum zero, obtained from
-   H by n_i = max over elements e of H with (e - l) = i mod t of
-   floor((e - l)/t) + 1, where l is the number of rows.
+ * N-coding: V translated, as V holds t*n_j + j - (t-1)/2; it sums to zero.
 
-The decoding direction reconstructs the first-column hooks from V by closing
-each positive class downward in steps of t.  Weight and hook products are
-polynomial in the codings: see core_weight_from_v / core_product_from_v.
+Decoding closes each positive entry of U downward in steps of t to get the
+first-column hooks.  Weight and hook products are polynomial in the
+codings: see core_weight_from_v / core_product_from_v.
 The public codings check their input; _u_of/_v_of/_n_of code a known t-core.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
-from operator import sub
+from operator import add, sub
 
 from .exactnum import diff_product, superfactorial
 from .partition import (
@@ -136,29 +134,33 @@ def max_by_residue(elements, t):
     return best
 
 
+def _by_residue(values, t, what):
+    """The t values of a sequence listed by residue mod t, each residue once."""
+    out = [None] * t
+    for x in values:
+        out[x % t] = x
+    _invariant(len(values) == t and None not in out, what)
+    return tuple(out)
+
+
 def _u_of(parts, t):
-    """U-coding of a checked t-core, from its extended hook set."""
-    best = max_by_residue(_h_elements(parts, t), t)
-    u = tuple(best[i] for i in range(t))
+    """U-coding of a checked t-core, read off its first-column hooks."""
+    u = list(range(-t, 0))  # u[i] = i - t until a hook of residue i comes
+    for h in map(add, reversed(parts), range(len(parts))):  # rising hooks
+        u[h % t] = h
     _invariant(u[0] == -t, "u_0 must be -t")
-    return u
+    return tuple(u)
 
 
 def _v_of(parts, t):
-    """V-coding of a checked t-core, from its U-coding."""
+    """V-coding of a checked t-core: its U-coding shifted to sum zero."""
     u = _u_of(parts, t)
     shift, rem = divmod(sum(u), t)
     _invariant(rem == 0, "U-coding sum must be divisible by t")
-    # the shift is determined by the length and t alone
     _invariant(shift == len(parts) - (t - 1) // 2 - 1,
                "V-coding shift must follow from the length")
-    shifted = [x - shift for x in u]
-    v = [None] * t
-    for x in shifted:
-        r = x % t
-        _invariant(v[r] is None, "V-coding residues must be distinct")
-        v[r] = x
-    v = tuple(v)
+    v = _by_residue([x - shift for x in u], t,
+                    "V-coding residues must be distinct")
     _invariant(sum(v) == 0, "V-coding must sum to zero")
     return v
 
@@ -174,14 +176,8 @@ def v_coding(parts, t):
 
 
 def _n_of(parts, t):
-    """N-coding of a checked t-core, from its U-coding."""
-    n = [None] * t
-    for e in _u_of(parts, t):
-        d = e - len(parts)
-        n[d % t] = d // t + 1
-    n = tuple(n)
-    _invariant(sum(n) == 0, "N-coding must sum to zero")
-    return n
+    """N-coding of a checked t-core: its V-coding translated."""
+    return n_from_v(_v_of(parts, t), t)
 
 
 def n_coding(parts, t):
@@ -191,17 +187,13 @@ def n_coding(parts, t):
 
 
 def v_from_n(nvec, t):
-    """Convert an N-coding to the V-coding of the same core."""
+    """The V-coding of an N-coding's core: V holds t*n_j + j - (t-1)/2."""
     _require_coding_t(t)
     if len(nvec) != t or sum(nvec) != 0:
         raise ValueError("N-coding must have t entries summing to zero")
     tp = (t - 1) // 2
-    v = [0] * t
-    for i in range(0, tp + 1):
-        v[i] = t * nvec[i + tp] + i
-    for i in range(tp + 1, t):
-        v[i] = t * nvec[i - tp - 1] + i - t
-    v = tuple(v)
+    v = _by_residue([t * m + j - tp for j, m in enumerate(nvec)], t,
+                    "V-coding residues must be distinct")
     _invariant(sum(v) == 0, "V-coding must sum to zero")
     return v
 
@@ -210,14 +202,10 @@ def n_from_v(vvec, t):
     """Inverse of v_from_n."""
     _validate_v(vvec, t)
     tp = (t - 1) // 2
-    n = [None] * t
-    for v in vvec:
-        j = (v + tp) % t
-        q, r = divmod(v + tp - j, t)
-        _invariant(r == 0 and n[j] is None,
-                   "each residue class must get one N-coding entry")
-        n[j] = q
-    return tuple(n)
+    n = tuple(x // t for x in _by_residue(
+        [v + tp for v in vvec], t, "N-coding residues must be distinct"))
+    _invariant(sum(n) == 0, "N-coding must sum to zero")
+    return n
 
 
 def _validate_v(vvec, t):
@@ -233,11 +221,8 @@ def u_from_v(vvec, t):
     """Recover the U-coding from a V-coding (shift back by -t - min V)."""
     _validate_v(vvec, t)
     shift = -t - min(vvec)
-    u = [None] * t
-    for v in vvec:
-        x = v + shift
-        u[x % t] = x
-    u = tuple(u)
+    u = _by_residue([v + shift for v in vvec], t,
+                    "U-coding residues must be distinct")
     _invariant(u[0] == -t, "u_0 must be -t")
     return u
 

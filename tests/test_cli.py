@@ -553,6 +553,19 @@ def test_enumerating_commands_refuse_too_many_partitions(monkeypatch):
         assert "HOOKEXP_MAX_PARTITIONS" in err and repr(raw) in err, raw
 
 
+def test_refusals_hint_the_coding_search_only_where_it_runs(monkeypatch):
+    monkeypatch.setenv("HOOKEXP_MAX_PARTITIONS", "11")  # p(7) = 15
+    for argv in (("cores", "--n", "7", "--t", "4"),
+                 ("cores", "--n", "7", "--t", "1", "--method", "filter"),
+                 ("partitions", "--n", "7", "--t-core", "2")):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, ""), argv
+        assert "--n" in err and "lower --n" in err, argv
+        assert "--method coding" not in err, argv
+    code, _, err = run_cli("cores", "--n", "7", "--t", "5")
+    assert code == 2 and "--method coding" in err
+
+
 def test_cores_decode_checks_survive_python_O():
     import subprocess
     import sys

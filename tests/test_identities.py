@@ -245,6 +245,18 @@ def test_hook_moment_matches_the_power_sum_forms():
             assert identities._hook_moment(m, k) == want[k], (m, k)
 
 
+def test_moment_checks_read_one_sweep():
+    # the sums of every m <= n come from the one cached sweep of size n
+    from hookexp.partition import _hook_sums_poly
+    for cid in ("marked-hook", "prop-6-11", "prop-6-12"):
+        _hook_sums_poly.cache_clear()
+        report = verify(cid, {"n": 12})
+        assert report.ok == (cid != "prop-6-12"), cid
+        assert _hook_sums_poly.cache_info().currsize == 1, cid
+    assert report.first_mismatch == {"location": "n=3", "lhs": "108",
+                                     "rhs": "72"}
+
+
 SWEEP_CHECKS = {
     "main-identity": {"N": 6}, "theorem-2-1": {"K": 2, "N": 6},
     "corollary-2-3": {"n": 6}, "corollary-2-4": {"n": 6, "k": 2},

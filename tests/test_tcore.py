@@ -132,6 +132,99 @@ def test_coding_translations_roundtrip():
                 assert core_from_v(v, t) == core
 
 
+# the coding maps as plain residue loops, one each, to check the placements
+def _u_loop(parts, t):
+    best = T.max_by_residue(T._h_elements(parts, t), t)
+    return tuple(best[i] for i in range(t))
+
+
+def _v_loop(parts, t):
+    u = _u_loop(parts, t)
+    shift = sum(u) // t
+    v = [None] * t
+    for x in u:
+        v[(x - shift) % t] = x - shift
+    return tuple(v)
+
+
+def _n_loop(parts, t):
+    n = [None] * t
+    for e in _u_loop(parts, t):
+        d = e - len(parts)
+        n[d % t] = d // t + 1
+    return tuple(n)
+
+
+def _v_from_n_loop(nvec, t):
+    tp = (t - 1) // 2
+    v = [0] * t
+    for i in range(0, tp + 1):
+        v[i] = t * nvec[i + tp] + i
+    for i in range(tp + 1, t):
+        v[i] = t * nvec[i - tp - 1] + i - t
+    return tuple(v)
+
+
+def _n_from_v_loop(vvec, t):
+    tp = (t - 1) // 2
+    n = [None] * t
+    for v in vvec:
+        j = (v + tp) % t
+        n[j] = (v + tp - j) // t
+    return tuple(n)
+
+
+def _u_from_v_loop(vvec, t):
+    shift = -t - min(vvec)
+    u = [None] * t
+    for v in vvec:
+        u[(v + shift) % t] = v + shift
+    return tuple(u)
+
+
+def test_coding_maps_match_the_residue_loops():
+    seen = 0
+    for t in (3, 5, 7, 9, 11):
+        for n in range(25):
+            for core in enumerate_t_cores(n, t):  # the filter: no coding map
+                u, v, nn = _u_loop(core, t), _v_loop(core, t), _n_loop(core, t)
+                assert T._u_of(core, t) == u, (core, t)
+                assert T._v_of(core, t) == v, (core, t)
+                assert T._n_of(core, t) == nn, (core, t)
+                assert v_from_n(nn, t) == _v_from_n_loop(nn, t) == v
+                assert n_from_v(v, t) == _n_from_v_loop(v, t) == nn
+                assert u_from_v(v, t) == _u_from_v_loop(v, t) == u
+                seen += 1
+    assert seen == 6515
+
+
+def test_u_is_read_off_the_parts_of_every_partition(monkeypatch):
+    # cores or not: with the u_0 check off, U is the largest element of
+    # each residue class of the first-column hooks and -1..-t
+    monkeypatch.setattr(T, "_invariant", lambda ok, what: None)
+    for n in range(15):
+        for parts in partition_tuples(n):
+            for t in range(1, 17):
+                assert T._u_of(parts, t) == _u_loop(parts, t), (parts, t)
+
+
+def test_by_residue_refuses_a_repeated_or_missing_residue():
+    assert T._by_residue((4, -1, 0), 3, "x") == (0, 4, -1)
+    for values in ((1, 4, 2), (1, 2), (0, 1, 2, 3)):
+        with pytest.raises(ArithmeticError, match="placed twice"):
+            T._by_residue(values, 3, "placed twice")
+
+
+def test_by_residue_refuses_a_repeated_residue_under_python_O():
+    import subprocess
+    import sys
+    code = "import hookexp.tcore as T; T._by_residue((1, 4, 2), 3, 'twice')"
+    run = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True)
+    assert run.returncode != 0
+    assert "ArithmeticError" in run.stderr and "twice" in run.stderr
+
+
 def test_weight_formulas_agree_with_size():
     for t in (3, 5, 7):
         for n in range(16):
