@@ -71,16 +71,20 @@ def _guard_partition_count(flag, n, up_to=False, t=None):
     except ValueError:
         raise UsageError("%s must be a non-negative integer, got %r"
                          % (MAX_PARTITIONS_ENV, raw)) from None
-    count = sum(map(partition_count, range(n + 1) if up_to else (n,)))
-    if count > limit:
-        raise UsageError(
-            "%s %d has %d partitions%s, more than the %d this command may "
-            "enumerate (%s); %s"
-            % (flag, n, count, " of sizes up to %d" % n if up_to else "",
-               limit, MAX_PARTITIONS_ENV,
-               "for t-cores with odd t >= 3 use `cores --method coding`"
-               if not up_to and (t is None or t >= 3 and t % 2) else
-               "lower %s" % flag))
+    # p is increasing, so the first size whose count (or running sum)
+    # passes the limit decides, and no larger count is computed
+    count = 0
+    for m in range(n + 1):
+        count = count + partition_count(m) if up_to else partition_count(m)
+        if count > limit:
+            raise UsageError(
+                "%s %d has more partitions%s than the %d this command may "
+                "enumerate (%s); %s"
+                % (flag, n, " of sizes up to %d" % n if up_to else "",
+                   limit, MAX_PARTITIONS_ENV,
+                   "for t-cores with odd t >= 3 use `cores --method coding`"
+                   if not up_to and (t is None or t >= 3 and t % 2) else
+                   "lower %s" % flag))
 
 
 def _require_odd_t(t):

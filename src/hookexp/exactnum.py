@@ -38,6 +38,18 @@ def diff_product(vec):
     return prod(a - b for a, b in combinations(vec, 2))
 
 
+def roots_poly(values, scale=1):
+    """Int coefficients, lowest degree first, of scale * prod(v - X) over
+    the int values: one factor (v - X) multiplied in per value."""
+    poly = [scale]
+    for v in values:
+        poly.append(0)
+        for i in range(len(poly) - 1, 0, -1):
+            poly[i] = v * poly[i] - poly[i - 1]
+        poly[0] *= v
+    return poly
+
+
 def superfactorial(k):
     """1! 2! ... k! (1 for k = 0)."""
     return prod(map(factorial, range(1, k + 1)))

@@ -29,7 +29,7 @@ from itertools import chain
 from math import factorial, isqrt, prod
 from types import SimpleNamespace
 
-from .exactnum import BetaPoly, diff_product, serialize_scalar
+from .exactnum import BetaPoly, diff_product, roots_poly, serialize_scalar
 from .partition import (
     b_stat_of,
     contents_of,
@@ -578,61 +578,35 @@ def _check_cauchy_special(d, N):
                                  euler_power(-dd, N)))
 
 
-def _beta_samples(N):
-    """N+3 distinct rationals; the compared coefficients have beta-degree
-    <= N, so agreement on N+1 of them already pins the identity."""
-    return [Fraction(j, 2) - 2 for j in range(N + 3)]
+def _content_hook_polys(N, content_shift):
+    """Coefficients x^0..x^N, as BetaPolys, of the sum over partitions of
+    x^(|.|+b) * prod (content + shift - beta) / (h (1 - x^h)).
 
-
-def _content_hook_terms(N, content_shift):
-    """The beta-free part of each term of _content_hook_total, for the
-    partitions with |.| + b <= N: (m, contents + shift, N!/prod h, the int
-    coefficients of x^(m+b) / prod (1 - x^h) to order N)."""
-    fact = factorial(N)
-    return [(m, [c + content_shift for c in contents_of(parts)],
-             fact // prod(hooks_of(parts)), schur_principal_x(parts, N).coeffs)
-            for m in range(N + 1) for parts in partition_tuples(m)
-            if m + b_stat_of(parts) <= N]
-
-
-def _content_hook_total(beta, N, terms):
-    """Coefficients x^0..x^N of the sum over partitions of
-    x^(|.|+b) * prod (content + shift - beta) / (h (1 - x^h)), exactly, from
-    the terms of _content_hook_terms(N, shift).
-
-    Term m has denominator q^m prod h, which divides q^N N!, so the sum is
-    taken in ints over that common denominator and divided once at the end.
+    Each term is taken on int coefficients as N!/prod h times
+    prod (content + shift - beta), times the int coefficients of
+    schur_principal_x, whose zeros are skipped; the sum is divided by N!
+    once, at the end.
     """
-    p, q = beta.numerator, beta.denominator
-    acc = [0] * (N + 1)
-    for m, contents, weight, coeffs in terms:
-        num = prod(q * c - p for c in contents)
-        if num:
-            scale = num * weight * q ** (N - m)
-            for k, a in enumerate(coeffs):
-                if a:
-                    acc[k] += scale * a
-    den = q ** N * factorial(N)
-    return [Fraction(a, den) for a in acc]
-
-
-def _beta_sampled(N, content_shift, other_side):
-    """Rows comparing the content-hook total with other_side(beta) at each
-    beta sample."""
-    samples = _beta_samples(N)
-    terms = _content_hook_terms(N, content_shift)
-    return ("x^0..x^%d at %d rational beta samples" % (N, len(samples)), (
-        row for b0 in samples
-        for row in _coefficients("beta=%s x^%%d" % b0,
-                                 _content_hook_total(b0, N, terms),
-                                 other_side(b0))))
+    fact = factorial(N)
+    acc = [[0] * (N + 1) for _ in range(N + 1)]  # acc[k][i]: x^k beta^i
+    for parts in (parts for m in range(N + 1) for parts in partition_tuples(m)
+                  if m + b_stat_of(parts) <= N):
+        poly = roots_poly((c + content_shift for c in contents_of(parts)),
+                          fact // prod(hooks_of(parts)))
+        for k, a in enumerate(schur_principal_x(parts, N).coeffs):
+            if a:
+                row = acc[k]
+                for i, v in enumerate(poly):
+                    row[i] += a * v
+    return [BetaPoly([Fraction(v, fact) for v in row]) for row in acc]
 
 
 @_register("thm-8-3",
-           "Schur-type expansion of an arbitrary Euler power, sampled in beta",
+           "Schur-type expansion of an arbitrary Euler power, symbolic in beta",
            {"N": 12}, {"N": 0})
 def _check_thm_8_3(N):
-    return _beta_sampled(N, 0, lambda beta: euler_power(beta, N))
+    return "x^0..x^%d, symbolic beta" % N, _coefficients(
+        "x^%d", _content_hook_polys(N, 0), euler_power(BetaPoly.beta(), N))
 
 
 @_register("euler-cor-8-4",
@@ -649,10 +623,11 @@ def _check_euler_cor_8_4(N):
 
 
 @_register("magic",
-           "two hook expansions of the same series, sampled in beta",
+           "two hook expansions of the same series, symbolic in beta",
            {"N": 12}, {"N": 0})
 def _check_magic(N):
-    return _beta_sampled(N, 1, lambda beta: hook_beta_sums(N, beta))
+    return "x^0..x^%d, symbolic beta" % N, _coefficients(
+        "x^%d", _content_hook_polys(N, 1), hook_beta_sums_poly(N))
 
 
 @_register("reversion",
@@ -686,7 +661,9 @@ def _check_cor_9_2(n):
 
 def verify(check_id, params=None):
     """Run one registry entry; returns a VerificationReport.  A parameter
-    that would check nothing (below its floor, or empty) raises ValueError."""
+    that is not an int (a tuple parameter: an int or a tuple or list of
+    ints; bools are refused), or that would check nothing (below its floor,
+    or empty), raises ValueError."""
     try:
         entry = REGISTRY[check_id]
     except KeyError:
@@ -695,12 +672,17 @@ def verify(check_id, params=None):
     for key, value in (params or {}).items():
         if key not in merged:
             raise ValueError("unknown parameter %r for %r" % (key, check_id))
-        if isinstance(merged[key], tuple):
-            if isinstance(value, int):
-                value = (value,)
-            elif not value:
+        many = isinstance(merged[key], tuple)
+        items = tuple(value) if many and isinstance(value, (tuple, list)) \
+            else (value,)
+        if not all(type(v) is int for v in items):  # a bool is refused too
+            raise ValueError("parameter %r for %r must be %s, got %r"
+                             % (key, check_id, "ints" if many else "an int", value))
+        if many:
+            if not items:
                 raise ValueError("parameter %r for %r must not be empty"
                                  % (key, check_id))
+            value = items
         floor = entry.minimal.get(key)
         if floor is not None and value < floor:
             raise ValueError("parameter %r for %r must be at least %d, got %r"

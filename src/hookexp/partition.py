@@ -21,7 +21,7 @@ from itertools import chain, count
 from math import factorial, lcm, prod
 from operator import mul
 
-from .exactnum import BetaPoly
+from .exactnum import BetaPoly, roots_poly
 
 
 # ---------------------------------------------------------------------------
@@ -188,17 +188,9 @@ def hook_beta_poly_of(parts):
 
     Computed as prod(h^2 - beta) over prod(h^2), all in integer arithmetic.
     """
-    poly = [1]
-    ph = 1
-    for h in hooks_of(parts):
-        h2 = h * h
-        ph *= h
-        poly.append(-poly[-1])
-        for i in range(len(poly) - 2, 0, -1):
-            poly[i] = h2 * poly[i] - poly[i - 1]
-        poly[0] = h2 * poly[0]
-    den = ph * ph
-    return BetaPoly([Fraction(c, den) for c in poly])
+    hooks = hooks_of(parts)
+    den = prod(hooks) ** 2
+    return BetaPoly([Fraction(c, den) for c in roots_poly(h * h for h in hooks)])
 
 
 def hook_eval_product(parts, beta):

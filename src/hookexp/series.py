@@ -204,8 +204,10 @@ def log_euler_sum(order):
 
 
 def euler_power(s, order):
-    """prod_{m>=1} (1 - x^m)^s for an exact rational s, via exp/log."""
-    s = Fraction(s)
+    """prod_{m>=1} (1 - x^m)^s via exp/log, for an exact rational s or a
+    BetaPoly s such as BetaPoly.beta() (then a Series of BetaPolys)."""
+    if not isinstance(s, BetaPoly):
+        s = Fraction(s)
     lg = log_euler_sum(order)
     return Series([-s * c for c in lg.coeffs]).exp()
 

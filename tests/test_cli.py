@@ -553,6 +553,25 @@ def test_enumerating_commands_refuse_too_many_partitions(monkeypatch):
         assert "HOOKEXP_MAX_PARTITIONS" in err and repr(raw) in err, raw
 
 
+def test_the_partition_guard_stops_at_the_first_size_past_the_limit(
+        monkeypatch):
+    # p(61) is the first count past the default limit of 10^6, and the sum
+    # p(0) + ... + p(49) the first running sum: a refused n of 60000 must
+    # not grow the partition_count table to 60000 first
+    from hookexp import partition
+    monkeypatch.delenv("HOOKEXP_MAX_PARTITIONS", raising=False)
+    for argv, flag in (
+            (("partitions", "--n", "60000"), "--n"),
+            (("cores", "--n", "60000", "--t", "5", "--method", "filter"), "--n"),
+            (("verify", "--id", "main-identity", "--order", "60000"), "--order"),
+            (("revert", "--order", "60000"), "--order")):
+        monkeypatch.setattr(partition, "_PARTITION_COUNTS", [1])
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, ""), argv
+        assert "%s 60000 has" % flag in err and "HOOKEXP_MAX_PARTITIONS" in err
+        assert len(partition._PARTITION_COUNTS) <= 62, argv
+
+
 def test_refusals_hint_the_coding_search_only_where_it_runs(monkeypatch):
     monkeypatch.setenv("HOOKEXP_MAX_PARTITIONS", "11")  # p(7) = 15
     for argv in (("cores", "--n", "7", "--t", "4"),

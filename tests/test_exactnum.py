@@ -9,6 +9,7 @@ from hookexp.exactnum import (
     diff_product,
     format_rational,
     parse_rational,
+    roots_poly,
     serialize_scalar,
     superfactorial,
 )
@@ -146,6 +147,18 @@ def test_diff_product_is_the_plain_nested_product(vec):
         for j in range(i + 1, len(vec)):
             want *= vec[i] - vec[j]
     assert diff_product(vec) == diff_product(tuple(vec)) == want
+
+
+@given(st.lists(st.integers(-40, 40), max_size=8), st.integers(-50, 50))
+def test_roots_poly_is_the_product_of_linear_factors(values, scale):
+    # scale * prod (v - beta), multiplied out one BetaPoly factor at a time
+    want = BetaPoly.constant(scale)
+    for v in values:
+        want = want * (v - BetaPoly.beta())
+    got = roots_poly(values, scale)
+    assert all(type(c) is int for c in got)
+    assert BetaPoly(got) == want
+    assert len(got) == len(values) + 1
 
 
 def test_superfactorial_is_the_plain_nested_product():

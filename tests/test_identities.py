@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hookexp import identities
+from hookexp.exactnum import BetaPoly
 from hookexp.partition import (
     b_stat_of,
     contents_of,
@@ -139,6 +140,22 @@ def test_verify_refuses_parameters_that_would_check_nothing():
         assert "constant term" not in message
 
 
+def test_verify_refuses_parameters_that_are_not_ints():
+    # a float, a bool and a str, as a range value and in a tuple; each is
+    # refused before the check runs, instead of failing deep inside it or
+    # (a bool) running as 0 or 1
+    for bad in (2.5, True, "3"):
+        for cid, params, key in (("main-identity", {"N": bad}, "N"),
+                                 ("thm-6-2", {"alpha": bad}, "alpha"),
+                                 ("thm-6-2", {"alpha": (1, bad)}, "alpha"),
+                                 ("gks-weight", {"t": [3, bad]}, "t")):
+            with pytest.raises(ValueError) as info:
+                verify(cid, params)
+            message = str(info.value)
+            assert repr(cid) in message and repr(key) in message, (cid, bad)
+            assert repr(bad) in message, (cid, bad)
+
+
 def test_verify_normalizes_scalar_t():
     report = verify("gks-weight", {"n": 6, "t": 3})
     assert report.params["t"] == (3,)
@@ -217,16 +234,6 @@ def test_kostant_polynomials_match_their_closed_forms():
     # series route, which the registry compares against the partition route
     from hookexp.series import euler_power
     assert euler_power(8, 3)[3] == 0
-
-
-def test_beta_sampled_checks_use_enough_points():
-    # a degree-N polynomial identity needs N+1 samples; the sampled checks
-    # use N+3 distinct rationals
-    from hookexp.identities import _beta_samples
-    for n in (0, 4, 12):
-        samples = _beta_samples(n)
-        assert len(samples) == n + 3
-        assert len(set(samples)) == len(samples)
 
 
 def test_hook_moment_matches_the_power_sum_forms():
@@ -365,18 +372,17 @@ MULTI_ROUTE_SKEWS = [
      "k=1 s=0 (routes)"),
     ("kostant-sign", {"k": 3}, {"euler_power": _bump_coefficient(2)},
      "k=2 s=3 (routes)"),
-    # the beta samples run -2, -3/2, -1, ...; a Schur term weighs in at a
-    # sample unless its content product vanishes there
     ("thm-8-3", {"N": 4}, {"schur_principal_x": _bump_coefficient(3)},
-     "beta=-2 x^3"),
+     "x^3"),
     ("magic", {"N": 4}, {"schur_principal_x": _bump_coefficient(3)},
-     "beta=-2 x^3"),
-    # prod (c - beta) over (1,1,1) vanishes at beta = -2
+     "x^3"),
+    # prod (c - beta) over (1,1,1) vanishes at beta = -2, but it is not the
+    # zero polynomial, so the bumped Schur term still shows
     ("thm-8-3", {"N": 8}, {"schur_principal_x": _bump_shape((1, 1, 1), 6)},
-     "beta=-3/2 x^6"),
+     "x^6"),
     # prod (c + 1 - beta) over (1,1,1,1) vanishes at beta = -2
     ("magic", {"N": 10}, {"schur_principal_x": _bump_shape((1, 1, 1, 1), 10)},
-     "beta=-3/2 x^10"),
+     "x^10"),
     # adding 1 to a BetaPoly moves its constant term, which the moment of
     # order k reads at n = k
     ("marked-hook", {"n": 6}, {"euler_power_formal": _bump_coefficient(1)},
@@ -385,6 +391,8 @@ MULTI_ROUTE_SKEWS = [
      "n=2 (sweep vs series)"),
     ("prop-6-12", {"n": 6}, {"euler_power_formal": _bump_coefficient(3)},
      "n=3 (sweep vs series)"),
+    # the exp/log side of thm-8-3, at the formal exponent beta
+    ("thm-8-3", {"N": 4}, {"euler_power": _bump_coefficient(2)}, "x^2"),
 ]
 
 
@@ -443,8 +451,8 @@ def test_hook_moments_match_the_euler_power_series():
 
 
 def _fraction_content_hook_total(beta, N, content_shift):
-    # the Fraction/Series form _content_hook_total replaced: one Series
-    # product and sum per partition
+    # the content-hook sum at one rational beta in Fraction/Series form:
+    # one Series product and sum per partition
     p, q = beta.numerator, beta.denominator
     tot = Series.zero(N)
     for m in range(N + 1):
@@ -463,8 +471,9 @@ def _fraction_content_hook_total(beta, N, content_shift):
        st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
        st.sampled_from((0, 1)))
 def test_content_hook_total_matches_the_fraction_series_form(N, beta, shift):
-    terms = identities._content_hook_terms(N, shift)
-    assert identities._content_hook_total(beta, N, terms) == \
+    polys = identities._content_hook_polys(N, shift)
+    assert all(type(p) is BetaPoly for p in polys)
+    assert [p.eval(beta) for p in polys] == \
         _fraction_content_hook_total(beta, N, shift).coeffs
 
 

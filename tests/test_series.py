@@ -206,6 +206,20 @@ def test_formal_euler_power_matches_hook_sums():
 small_rationals = st.fractions(min_value=-12, max_value=12, max_denominator=7)
 
 
+def test_exp_log_power_at_a_formal_exponent_is_the_formal_series():
+    # exp/log at s = beta against the recurrence at beta - 1, moved by one
+    formal = euler_power(BetaPoly.beta(), 12)
+    assert all(type(c) is BetaPoly for c in formal.coeffs)
+    assert formal == euler_power_formal(12).map(lambda c: c.subst_linear(1, 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_rationals)
+def test_exp_log_power_at_a_formal_exponent_evaluates_to_numeric_ones(s):
+    formal = euler_power(BetaPoly.beta(), 10)
+    assert [c.eval(s) for c in formal.coeffs] == euler_power(s, 10).coeffs
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_rationals, st.integers(min_value=0, max_value=40))
 def test_power_recurrence_matches_exp_log(s, order):
