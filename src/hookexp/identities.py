@@ -39,8 +39,8 @@ from .partition import (
     hook_beta_sums_poly,
     hook_eval_product,
     hook_multiset_all,
-    hook_power_moment,
-    hook_power_moment2,
+    hook_power_moments,
+    hook_power_moments2,
     hook_type_census,
     hooks_of,
     part_occurrence_census,
@@ -76,8 +76,8 @@ from .tcore import (
     core_product_from_v,
     core_weight_from_n,
     core_weight_from_v,
-    enumerate_t_cores,
     is_t_core,
+    t_cores_upto,
 )
 WORKERS_ENV = "HOOKEXP_WORKERS"
 
@@ -254,9 +254,8 @@ def _check_pentagonal_beta2(N):
 def _check_tau_5core(N):
     E = euler_power(24, N - 1)
     return "n=1..%d" % N, (
-        ("n=%d" % m, E[m - 1],
-         sum(hook_eval_product(c, 25) for c in enumerate_t_cores(m - 1, 5)))
-        for m in range(1, N + 1))
+        ("n=%d" % (m + 1), E[m], sum(hook_eval_product(c, 25) for c in cores))
+        for m, cores in enumerate(t_cores_upto(N - 1, 5)))
 
 
 @_register("jacobi-beta4",
@@ -281,8 +280,8 @@ def _check_jacobi_beta4(N):
            {"N": 20}, {"N": 0})
 def _check_eta8_beta9(N):
     dbl = eta8_double_sum(N)
-    cores = [sum(hook_eval_product(c, 9) for c in enumerate_t_cores(m, 3))
-             for m in range(N + 1)]
+    cores = [sum(hook_eval_product(c, 9) for c in cores)
+             for cores in t_cores_upto(N, 3)]
     return ("x^0..x^%d (3-core sum / double sum / exp routes)" % N,
             _by_degree(_coefficients("x^%d (double sum vs exp)", dbl, euler_power(8, N)),
                        _coefficients("x^%d (3-core sum vs double sum)", cores, dbl)))
@@ -292,8 +291,8 @@ def _t_cores(t, n, start=0):
     """Yield (t, m, core, label) for every t-core of m = start..n, each t."""
     for tt in t:
         _require_coding_t(tt)
-        for m in range(start, n + 1):
-            for core in enumerate_t_cores(m, tt):
+        for m, cores in enumerate(t_cores_upto(n, tt)[start:], start):
+            for core in cores:
                 yield tt, m, core, "t=%d core=%s" % (tt, ",".join(map(str, core)))
 
 
@@ -370,7 +369,7 @@ def _check_macdonald(t, N):
            {"N": 25}, {"N": 0})
 def _check_prop_6_1(N):
     return "x^0..x^%d" % N, _coefficients(
-        "x^%d", [hook_power_moment(m, -2) for m in range(N + 1)],
+        "x^%d", hook_power_moments(N, -2),
         partition_gf(N) * log_euler_sum(N))
 
 
@@ -382,7 +381,7 @@ def _check_thm_6_2(N, alpha):
     return "alpha in %s, x^0..x^%d" % (list(alpha), N), (
         row for a in alpha
         for row in _coefficients("alpha=%d x^%%d" % a,
-                                 [hook_power_moment(m, a) for m in range(N + 1)],
+                                 hook_power_moments(N, a),
                                  pgf * divisor_power_gf(a + 1, N)))
 
 
@@ -433,7 +432,7 @@ def _check_cor_6_7(N):
     conv = partition_gf(N) * divisor_power_gf(0, N)
     msum = _prefix_product_sum(N, ((j, j, j) for j in range(1, N + 1)))
     parts = [sum(map(len, partition_tuples(m))) for m in range(N + 1)]
-    hooks = [hook_power_moment(m, -1) for m in range(N + 1)]
+    hooks = hook_power_moments(N, -1)
     return "x^0..x^%d, four routes" % N, _by_degree(
         _coefficients("x^%d (hooks vs parts)", hooks, parts),
         _coefficients("x^%d (divisor convolution)", conv, parts),
@@ -446,8 +445,8 @@ def _check_cor_6_7(N):
 def _check_prop_6_8(N):
     lg = log_euler_sum(N)
     return "x^0..x^%d" % N, _coefficients(
-        "x^%d", [(hook_power_moment2(m, -2) - hook_power_moment(m, -4)) / 2
-                 for m in range(N + 1)],
+        "x^%d", [(sq - quart) / 2 for sq, quart in
+                 zip(hook_power_moments2(N, -2), hook_power_moments(N, -4))],
         partition_gf(N) * lg * lg * Fraction(1, 2))
 
 
@@ -457,7 +456,7 @@ def _check_prop_6_8(N):
 def _check_thm_6_9(N):
     lg = log_euler_sum(N)
     return "x^0..x^%d" % N, _coefficients(
-        "x^%d", [hook_power_moment2(m, -2) for m in range(N + 1)],
+        "x^%d", hook_power_moments2(N, -2),
         partition_gf(N) * (divisor_power_gf(-3, N) + lg * lg))
 
 

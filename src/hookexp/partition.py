@@ -7,19 +7,22 @@ length of a cell is arm + leg + 1.
 
 A partition is always a plain tuple: `validate_partition` checks one,
 `enumerate_partitions(n)` yields those of n, `partition_tuples(n)` caches them.
-The sums over the partitions of n of prod(1 - beta/h^2) (`hook_beta_sum*`)
-are read from one cached symbolic sweep; `hook_beta_poly_of` and
+Every hook statistic summed over all partitions of each size n <= N comes
+from one depth-first walk, `_top_row_walk`, which grows each partition by a
+new top row and visits only the tall member of each conjugate pair: the
+sums of prod(1 - beta/h^2) (`hook_beta_sum*`, one cached symbolic sweep),
+the hook-count census and the hook power moments, and, pruned at a hook of
+length t, the t-cores (`tcore`).  `hook_beta_poly_of` and
 `hook_eval_product` give the product of one partition, for the checks that
-sum it themselves.  The hook-count census and the hook power moments read
-`hook_lists(n)`.
+sum it themselves.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, count
+from itertools import count, takewhile
 from math import factorial, lcm, prod
-from operator import mul
+from operator import add, mul
 
 from .exactnum import BetaPoly, roots_poly
 
@@ -74,19 +77,22 @@ def partition_tuples(n):
     return tuple(enumerate_partitions(n))
 
 
+def _pentagonal_term(i):
+    """Term i (from 0) of _pentagonal_terms: k = i // 2 + 1."""
+    k = i // 2 + 1
+    return k * (3 * k + (1 if i % 2 else -1)) // 2, (-1) ** k
+
+
 def _pentagonal_terms(order):
     """(e, c) for the nonzero c = [x^e] prod (1 - x^m), 1 <= e <= order, in
     increasing e: the generalized pentagonal numbers e = k(3k -+ 1)/2,
     k >= 1, with c = (-1)^k (Euler's pentagonal theorem)."""
-    out = []
-    for k in count(1):
-        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            if e > order:
-                return out
-            out.append((e, (-1) ** k))
+    return list(takewhile(lambda term: term[0] <= order,
+                          map(_pentagonal_term, count())))
 
 
 _PARTITION_COUNTS = [1]  # p(0), p(1), ... as far as asked so far
+_COUNT_TERMS = [_pentagonal_term(0)]  # the terms the table reached, and the next
 
 
 def partition_count(n):
@@ -94,15 +100,20 @@ def partition_count(n):
     (e, c) of _pentagonal_terms (no enumeration).
 
     The table grows bottom-up, so a large n needs no deep recursion, and
-    the term list is built only when the table has to grow.
+    each term is built once, when the table reaches its e.
     """
     if n < 0:
         return 0
-    table = _PARTITION_COUNTS
-    if n >= len(table):
-        terms = _pentagonal_terms(n)
-        for m in range(len(table), n + 1):
-            table.append(-sum(c * table[m - e] for e, c in terms if e <= m))
+    table, terms = _PARTITION_COUNTS, _COUNT_TERMS
+    for m in range(len(table), n + 1):
+        if terms[-1][0] <= m:  # e rises by at least 1: this e is m
+            terms.append(_pentagonal_term(len(terms)))
+        p = 0
+        for e, c in terms:
+            if e > m:
+                break
+            p -= c * table[m - e]
+        table.append(p)
     return table[n]
 
 
@@ -134,7 +145,12 @@ def hooks_of(parts):
 @lru_cache(maxsize=None)
 def hook_lists(n):
     """Hook lengths of each partition of n as bytes, aligned index-by-index
-    with partition_tuples(n).  No hook exceeds n, so n must be <= 255."""
+    with partition_tuples(n).  No hook exceeds n, so n must be <= 255.
+
+    No sum over partitions reads it any more (they run on _top_row_walk).
+    It stays as the tests' per-partition oracle, and because perfbench's
+    tracer reads its cache_info().
+    """
     if n > 255:
         raise ValueError("hook_lists needs n <= 255, got %d" % n)
     return tuple(map(bytes, map(hooks_of, partition_tuples(n))))
@@ -207,51 +223,73 @@ def hook_eval_product(parts, beta):
 
 
 # ---------------------------------------------------------------------------
-# the hook sweep: the hook-product sums of every size n <= N in one walk
+# the top-row walk, and the hook sweep: the hook-product sums of every size
+# n <= N in one walk
+
+def _top_row_walk(N, visit, state, t=None):
+    """Walk the tall partitions (mu_1 <= rows) of every size <= N, with the
+    wide ones on the way to them, depth first.
+
+    The walk grows mu by a new top row of length L >= mu_1: the cells below
+    keep their hooks, and the new row's hooks are L - j + mu'_j + 1 for
+    j = 1..L, read from the column lengths mu' (adding the largest bead of
+    a beta-set, Macdonald I.1).  Each child is passed to
+    visit(state, L, hooks, n, rows), with the parent's state, its size n
+    and its row count; what visit returns is the state of the child's
+    subtree.  The root, the empty partition, is not visited.  Each prefix
+    is shared by all its extensions and the stack holds O(N) values.
+
+    Conjugation keeps the hooks, so a statistic of the hooks needs only the
+    tall member of each conjugate pair, and a node pays its new row's
+    length in cells, so the tall member is the cheap one.  A child of top
+    row L needs at least L - rows - 1 more rows, of at least L cells each,
+    before it is tall; it is entered only while they fit, and since that
+    need grows with L the first L that fails ends the loop.
+
+    Given t, a child with a hook of length t is skipped with its subtree:
+    every extension keeps that hook, so none of them is a t-core.
+    """
+    cols = [0] * N  # mu'_j at cols[j - 1]
+    downs = [range(L, 0, -1) for L in range(N + 1)]  # L - j + 1, j = 1..L
+
+    def grow(n, top, rows, state):
+        for L in range(max(top, 1), N - n + 1):
+            if (L - rows - 1) * L > N - n - L:
+                break
+            hooks = list(map(add, downs[L], cols))
+            if t and t in hooks:
+                continue
+            child = visit(state, L, hooks, n + L, rows + 1)
+            for j in range(L):
+                cols[j] += 1
+            grow(n + L, L, rows + 1, child)
+            for j in range(L):
+                cols[j] -= 1
+
+    grow(0, 0, 0, state)
+
 
 def _hook_sweep(N, cell):
     """[sum over partitions of n of f^2 * P for n = 0..N], f = n!/prod h.
 
-    P starts at 1 and each cell of hook h turns it into cell(P, h).  The
-    depth-first walk grows mu by a new top row of length L >= mu_1: the
-    cells below keep their hooks, and the new row's hooks are
-    L - j + mu'_j + 1 for j = 1..L, read from the column lengths mu'
-    (adding the largest bead of a beta-set, Macdonald I.1).  Each prefix
-    is shared by all its extensions, the stack holds O(N) values and no
-    partition table is built.
-
-    Conjugation keeps the hooks, so only the tall member of each conjugate
-    pair is summed: a partition with mu_1 < rows counts twice, one with
-    mu_1 = rows once, and one with mu_1 > rows not at all.  A node pays
-    its new row's length in cells, so the tall member is the cheap one.
-    A child of top row L needs at least L - rows - 1 more rows, of at
-    least L cells each, before it is tall; it is entered only while they
-    fit, and since that need grows with L the first L that fails ends the
-    loop.
+    P starts at 1 and each cell of hook h turns it into cell(P, h), along
+    one _top_row_walk: a partition with mu_1 < rows counts twice, one with
+    mu_1 = rows once, and one with mu_1 > rows not at all.
     """
     fact = [factorial(n) for n in range(N + 1)]
-    sums = [0] * (N + 1)
-    cols = [0] * N  # mu'_j at cols[j - 1]
+    sums = [1] + [0] * N  # the empty partition: f = 1, P = 1
 
-    def grow(n, top, rows, hook_prod, P):
-        if top <= rows:
-            f = fact[n] // hook_prod
-            sums[n] += (f * f if top == rows else 2 * f * f) * P
-        for L in range(max(top, 1), N - n + 1):
-            if (L - rows - 1) * L > N - n - L:
-                break
-            H, Q = hook_prod, P
-            for j in range(L):
-                h = L - j + cols[j]
-                H *= h
-                Q = cell(Q, h)
-            for j in range(L):
-                cols[j] += 1
-            grow(n + L, L, rows + 1, H, Q)
-            for j in range(L):
-                cols[j] -= 1
+    def visit(state, L, hooks, n, rows):
+        H, P = state
+        H *= prod(hooks)
+        for h in hooks:
+            P = cell(P, h)
+        if L <= rows:
+            f = fact[n] // H
+            sums[n] += (f * f if L == rows else 2 * f * f) * P
+        return H, P
 
-    grow(0, 0, 0, 1, 1)
+    _top_row_walk(N, visit, (1, 1))
     return sums
 
 
@@ -323,13 +361,40 @@ def hook_beta_sum_poly(n):
 
 
 # ---------------------------------------------------------------------------
-# the hook-count census
+# the hook-count census and the hook power moments: sums over the cells of
+# each partition, from one walk over every size n <= N
+
+def _cell_sum_powers(N, w, power):
+    """[sum over partitions of n of (sum over cells of w[h]) ** power for
+    n = 0..N], power >= 1: the walk carries each node's sum over its
+    cells, and the tall member of each conjugate pair counts for both."""
+    sums = [0] * (N + 1)  # the empty partition's cell sum is 0
+
+    def visit(S, L, hooks, n, rows):
+        S += sum(map(w.__getitem__, hooks))
+        if L <= rows:
+            sums[n] += S ** power if L == rows else 2 * S ** power
+        return S
+
+    _top_row_walk(N, visit, 0)
+    return sums
+
 
 @lru_cache(maxsize=None)
+def _hook_censuses(N):
+    """hook_count_census(n) for n = 0..N.  The walk sums each cell's
+    1 << h*B, so slot h of B bits counts the cells of hook h; no count
+    exceeds the n p(n) cells of size n."""
+    B = (N * partition_count(N)).bit_length()
+    packed = _cell_sum_powers(N, [1 << h * B for h in range(N + 1)], 1)
+    mask = (1 << B) - 1
+    return tuple(tuple(s >> h * B & mask for h in range(n + 1))
+                 for n, s in enumerate(packed))
+
+
 def hook_count_census(n):
     """Int tuple C: C[h] cells of hook length h over the partitions of n."""
-    counts = Counter(chain.from_iterable(hook_lists(n)))
-    return tuple(counts[h] for h in range(n + 1))
+    return _hook_censuses(n)[n]
 
 
 def _power_weights(n, alpha):
@@ -340,17 +405,33 @@ def _power_weights(n, alpha):
     return [0] + [(top // h) ** -alpha for h in range(1, n + 1)], top ** -alpha
 
 
+def hook_power_moments(N, alpha):
+    """[sum over partitions of n of sum over cells of h^alpha for
+    n = 0..N] (integer alpha), from one cached census walk."""
+    w, d = _power_weights(N, alpha)
+    return [Fraction(sum(map(mul, census, w)), d) for census in _hook_censuses(N)]
+
+
 def hook_power_moment(n, alpha):
     """sum over partitions of n of sum over cells of h^alpha (integer alpha)."""
-    w, d = _power_weights(n, alpha)
-    return Fraction(sum(map(mul, hook_count_census(n), w)), d)
+    return hook_power_moments(n, alpha)[n]
+
+
+@lru_cache(maxsize=None)
+def _hook_moments2(N, alpha):
+    w, d = _power_weights(N, alpha)
+    return tuple(Fraction(s, d * d) for s in _cell_sum_powers(N, w, 2))
+
+
+def hook_power_moments2(N, alpha):
+    """[sum over partitions of n of (sum over cells of h^alpha)^2 for
+    n = 0..N], from one cached walk."""
+    return list(_hook_moments2(N, alpha))
 
 
 def hook_power_moment2(n, alpha):
     """sum over partitions of n of (sum over cells of h^alpha)^2."""
-    w, d = _power_weights(n, alpha)
-    return Fraction(sum(sum(map(w.__getitem__, hooks)) ** 2
-                        for hooks in hook_lists(n)), d * d)
+    return _hook_moments2(n, alpha)[n]
 
 
 # ---------------------------------------------------------------------------

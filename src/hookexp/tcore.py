@@ -21,15 +21,15 @@ The public codings check their input; _u_of/_v_of/_n_of code a known t-core.
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from operator import add, sub
 
 from .exactnum import diff_product, superfactorial
 from .partition import (
+    _top_row_walk,
     conjugate_of,
     first_column_hooks_of,
-    hook_lists,
-    partition_tuples,
     validate_partition,
 )
 
@@ -279,20 +279,45 @@ def core_product_from_v(vvec, t):
 # ---------------------------------------------------------------------------
 # enumeration
 
+@lru_cache(maxsize=None)
+def t_cores_upto(N, t):
+    """(the t-cores of n, reverse-lexicographic, for n = 0..N), any integer
+    t >= 1, as tuples, from one cached walk.
+
+    The top-row walk, pruned at the first hook of length t, visits the
+    t-cores and the children it rejects.  t-cores are closed under
+    conjugation, so the walk's tall members and the conjugates of the
+    strictly tall ones are all of them.
+    """
+    if N < 0:
+        raise ValueError("n must be >= 0")
+    if not isinstance(t, int) or t < 1:
+        raise ValueError("t must be a positive integer")
+    out = [[()]] + [[] for _ in range(N)]
+
+    def visit(parts, L, hooks, n, rows):
+        parts = (L,) + parts
+        if L <= rows:
+            out[n].append(parts)
+            if L < rows:
+                out[n].append(conjugate_of(parts))
+        return parts
+
+    _top_row_walk(N, visit, (), t)
+    return tuple(tuple(sorted(cores, reverse=True)) for cores in out)
+
+
 def enumerate_t_cores(n, t, method="filter"):
     """All t-cores of n, reverse-lexicographic, as plain tuples.
 
-    method="filter" scans all partitions of n; method="coding" (odd t >= 3
-    only) enumerates zero-sum N-codings of weight n and decodes them.
+    method="filter" lists them from one walk that prunes at hooks of
+    length t (t_cores_upto); method="coding" (odd t >= 3 only) enumerates
+    zero-sum N-codings of weight n and decodes them.
     """
+    if method == "filter":
+        return list(t_cores_upto(n, t)[n])
     if n < 0:
         raise ValueError("n must be >= 0")
-    if method == "filter":
-        if not isinstance(t, int) or t < 1:
-            raise ValueError("t must be a positive integer")
-        return [parts
-                for parts, hooks in zip(partition_tuples(n), hook_lists(n))
-                if t > n or t not in hooks]  # bytes hold hooks <= n
     if method != "coding":
         raise ValueError("method must be 'filter' or 'coding'")
     _require_coding_t(t)

@@ -5,7 +5,7 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hookexp import identities
+from hookexp import identities, partition, tcore
 from hookexp.exactnum import BetaPoly
 from hookexp.partition import (
     b_stat_of,
@@ -349,10 +349,10 @@ MULTI_ROUTE_SKEWS = [
     # the divisor series of the convolution starts at x^1
     ("cor-6-7", {"N": 6}, {"partition_gf": _bump_coefficient(3)},
      "x^4 (divisor convolution)"),
-    ("cor-6-7", {"N": 6}, {"hook_power_moment": _bump_value},
+    ("cor-6-7", {"N": 6}, {"hook_power_moments": _bump_coefficient(0)},
      "x^0 (hooks vs parts)"),
     ("cor-6-7", {"N": 6}, {"partition_gf": _bump_coefficient(0),
-                           "hook_power_moment": _bump_value},
+                           "hook_power_moments": _bump_coefficient(0)},
      "x^0 (hooks vs parts)"),
     ("euler-cor-8-4", {"N": 8}, {"pentagonal_series": _bump_coefficient(4)},
      "x^4 (column sum vs sparse)"),
@@ -404,6 +404,67 @@ def test_multi_route_check_reports_its_first_mismatch(monkeypatch, cid, params,
     report = verify(cid, params)
     assert report.status == "fail"
     assert report.first_mismatch["location"] == location
+
+
+def _walk_without(node):
+    """Wrap _top_row_walk so that `node` and its subtree never reach the
+    visitor: the walk itself still runs, unchanged."""
+    walk = partition._top_row_walk
+
+    def skewed(N, visit, state, t=None):
+        def drop(st, L, hooks, n, rows):
+            parts, inner = st
+            if parts is not None:
+                parts = (L,) + parts
+                if parts != node:
+                    return parts, visit(inner, L, hooks, n, rows)
+            return None, inner
+        walk(N, drop, ((), state), t)
+    return skewed
+
+
+@pytest.fixture
+def cold_walk_caches():
+    def clear():
+        for cache in (partition._hook_sums_poly, partition._hook_censuses,
+                      partition._hook_moments2, tcore.t_cores_upto):
+            cache.cache_clear()
+    clear()
+    yield
+    clear()  # no skewed value may outlive the test
+
+
+# (check, params, node, first mismatch location) once the walk drops the
+# tall node with its conjugate and its subtree: each consumer of the walk
+# (the sweep, the census, the second moment, the t-core listing) is caught
+# by a route that does not walk.  (2, 2, 1) is a 5-core of size 5.  The
+# sweep's unpacking refuses a size whose sums are no longer divisible by n!
+# (Corollary 2.3), so its row drops (1, 1) and (2), whose f^2 sum is 2!.
+WALK_SKEWS = [
+    ("main-identity", {"N": 2}, (1, 1), "x^2"),
+    ("prop-6-1", {"N": 8}, (2, 2, 1), "x^5"),
+    ("cor-6-7", {"N": 8}, (2, 2, 1), "x^5 (hooks vs parts)"),
+    ("prop-6-8", {"N": 8}, (2, 2, 1), "x^5"),
+    ("thm-6-9", {"N": 8}, (2, 2, 1), "x^5"),
+    ("tau-5core", {"N": 8}, (2, 2, 1), "n=6"),
+]
+
+
+@pytest.mark.parametrize("cid, params, node, location", WALK_SKEWS)
+def test_a_skewed_walk_shows_on_one_side_only(monkeypatch, cold_walk_caches,
+                                              cid, params, node, location):
+    skewed = _walk_without(node)
+    monkeypatch.setattr(partition, "_top_row_walk", skewed)
+    monkeypatch.setattr(tcore, "_top_row_walk", skewed)
+    report = verify(cid, params)
+    assert report.status == "fail"
+    assert report.first_mismatch["location"] == location
+
+
+def test_a_sweep_that_skips_a_node_raises(monkeypatch, cold_walk_caches):
+    monkeypatch.setattr(partition, "_top_row_walk", _walk_without((2, 2, 1)))
+    with pytest.raises(ArithmeticError, match="size 5"):
+        verify("main-identity", {"N": 8})
 
 
 @pytest.mark.parametrize("skewed_methods, location", [

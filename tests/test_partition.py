@@ -87,6 +87,35 @@ def test_enumeration_count_matches_recurrence():
     assert partition_count(100) == 190569292
 
 
+def test_partition_count_builds_each_pentagonal_term_once(monkeypatch):
+    # a caller that grows the table one size at a time, as the CLI's guard
+    # does, must not rebuild the term list at each size
+    import hookexp.partition as part
+    terms = part._pentagonal_terms(3000)
+    want = [1]
+    for m in range(1, 3001):
+        want.append(-sum(c * want[m - e] for e, c in terms if e <= m))
+    term = part._pentagonal_term
+    built = Counter()
+
+    def counted(i):
+        built[i] += 1
+        return term(i)
+
+    def refuse(*args):
+        raise AssertionError("partition_count must not rebuild the term list")
+    monkeypatch.setattr(part, "_pentagonal_term", counted)
+    monkeypatch.setattr(part, "_pentagonal_terms", refuse)
+    monkeypatch.setattr(part, "_PARTITION_COUNTS", [1])
+    monkeypatch.setattr(part, "_COUNT_TERMS", [term(0)])
+    assert [partition_count(n) for n in range(3001)] == want
+    # every term with e <= 3000 once, and the next one ahead
+    assert built == Counter(range(1, len(terms) + 1))
+    # a table reset on its own still reads only the terms it has reached
+    monkeypatch.setattr(part, "_PARTITION_COUNTS", [1])
+    assert partition_count(100) == want[100]
+
+
 def test_conjugate():
     assert conjugate_of((6, 3, 3, 2)) == (4, 4, 3, 1, 1, 1)
     assert conjugate_of(()) == ()
@@ -450,6 +479,33 @@ def test_census_dot_products_match_the_section_6_statistics():
         pair = (hook_power_moment2(m, -2) - hook_power_moment(m, -4)) / 2
         assert pair == _stat_sum(m, _pair_stat)
         assert hook_power_moment2(m, -2) == _stat_sum(m, _sq_stat)
+
+
+def test_census_and_moments_of_every_size_come_from_one_walk(monkeypatch):
+    import hookexp.partition as part
+    part._hook_censuses.cache_clear()
+    part._hook_moments2.cache_clear()
+    walks = []
+    walk = part._top_row_walk
+
+    def counted(N, visit, state, t=None):
+        walks.append(N)
+        return walk(N, visit, state, t)
+
+    def refuse(*args):
+        raise AssertionError("the census must not read a partition table")
+    monkeypatch.setattr(part, "_top_row_walk", counted)
+    for name in ("hooks_of", "hook_lists", "partition_tuples"):
+        monkeypatch.setattr(part, name, refuse)
+    N = 12
+    for alpha in (-4, -2, -1, 0, 1, 2):
+        assert part.hook_power_moments(N, alpha) == [
+            _stat_sum(m, lambda hooks: _power_stat(hooks, alpha))
+            for m in range(N + 1)]
+    assert part.hook_power_moments2(N, -2) == [_stat_sum(m, _sq_stat)
+                                               for m in range(N + 1)]
+    assert part.hook_power_moments2(N, -2)[N] == hook_power_moment2(N, -2)
+    assert walks == [N, N]  # one census walk, one second-moment walk
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hookexp.tcore as T
-from hookexp.partition import hook_eval_product, hooks_of, partition_tuples
+from hookexp.partition import (
+    enumerate_partitions,
+    hook_eval_product,
+    hooks_of,
+    partition_tuples,
+)
 from hookexp.tcore import (
     HSet,
     _codings_of_weight,
@@ -19,6 +24,7 @@ from hookexp.tcore import (
     is_t_core,
     n_coding,
     n_from_v,
+    t_cores_upto,
     u_coding,
     u_from_v,
     v_coding,
@@ -345,8 +351,34 @@ def test_coding_search_matches_the_box_scan():
 
 
 def test_filter_takes_a_t_past_every_hook():
-    # hook rows are bytes, which cannot hold a t above 255
+    # no hook of a partition of 5 is 300, so the walk prunes nothing
     assert enumerate_t_cores(5, 300) == list(partition_tuples(5))
+
+
+def test_walk_listing_matches_an_is_t_core_scan():
+    # every t = 1..9, including t > n, at every size n <= 20
+    for t in range(1, 10):
+        listed = t_cores_upto(20, t)
+        for n in range(21):
+            want = [p for p in enumerate_partitions(n) if is_t_core(p, t)]
+            assert list(listed[n]) == want, (n, t)
+            assert enumerate_t_cores(n, t) == want, (n, t)
+
+
+def test_walk_listing_reads_no_partition_table():
+    from hookexp.partition import hook_lists
+    T.t_cores_upto.cache_clear()
+    before = partition_tuples.cache_info(), hook_lists.cache_info()
+    assert len(t_cores_upto(40, 4)[40]) == 7  # [x^40] of the eta quotient
+    assert (partition_tuples.cache_info(), hook_lists.cache_info()) == before
+
+
+def test_walk_listing_rejects_bad_input():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        t_cores_upto(-1, 3)
+    for t in (0, -2, 2.0, None):
+        with pytest.raises(ValueError, match="positive integer"):
+            t_cores_upto(5, t)
 
 
 def test_enumerate_rejects_negative_n():
@@ -361,14 +393,14 @@ def test_enumerate_rejects_unknown_method():
 
 
 def test_core_counts_match_eta_quotient():
-    # #t-cores of n = [x^n] prod (1-x^{tm})^t / (1-x^m)
+    # #t-cores of n = [x^n] prod (1-x^{tm})^t / (1-x^m); the sizes past 255
+    # were out of reach of the per-size hook table
     from hookexp.series import euler_product_direct, partition_gf
-    N = 18
-    for t in (3, 5):
-        num = euler_product_direct(t, N, step=t)
-        ser = num * partition_gf(N)
-        for n in range(N + 1):
-            assert len(enumerate_t_cores(n, t)) == ser[n]
+    N = 300
+    for t, sizes in ((3, (256, 300)), (4, (256, 300)), (5, ())):
+        ser = euler_product_direct(t, N, step=t) * partition_gf(N)
+        for n in [*range(19), *sizes]:
+            assert len(enumerate_t_cores(n, t)) == ser[n], (n, t)
 
 
 def test_first_column_erasure_ratio():
