@@ -34,7 +34,7 @@ from .partition import (
     b_stat_of,
     contents_of,
     hook_beta_poly_of,
-    hook_beta_sum_poly,
+    hook_beta_sum_poly,  # perfbench/selftest.py wraps it in this module
     hook_beta_sums,
     hook_beta_sums_poly,
     hook_eval_product,
@@ -466,10 +466,6 @@ def _moment(poly, m, k):
     f_lambda^2 e_k(h^2), since f^2/m!^2 is 1/prod h^2."""
     c = poly.coefficient(m - k) * factorial(m) ** 2
     return -c if (m - k) % 2 else c
-
-
-def _hook_moment(m, k):
-    return _moment(hook_beta_sum_poly(m), m, k)
 
 
 def _moment_closed_form(n, k, closed):

@@ -234,35 +234,40 @@ def _top_row_walk(N, visit, state, t=None):
     keep their hooks, and the new row's hooks are L - j + mu'_j + 1 for
     j = 1..L, read from the column lengths mu' (adding the largest bead of
     a beta-set, Macdonald I.1).  Each child is passed to
-    visit(state, L, hooks, n, rows), with the parent's state, its size n
-    and its row count; what visit returns is the state of the child's
-    subtree.  The root, the empty partition, is not visited.  Each prefix
-    is shared by all its extensions and the stack holds O(N) values.
+    visit(state, weight, hooks, n), with the parent's state and its size n;
+    what visit returns is the state of the child's subtree.  The root, the
+    empty partition, is not visited.  Each prefix is shared by all its
+    extensions and the stack holds O(N) values.
 
     Conjugation keeps the hooks, so a statistic of the hooks needs only the
-    tall member of each conjugate pair, and a node pays its new row's
+    tall member of each conjugate pair: weight is 2 when mu_1 < rows (the
+    child stands for its conjugate too), 1 when mu_1 = rows and 0 when
+    mu_1 > rows (its conjugate is visited).  A node pays its new row's
     length in cells, so the tall member is the cheap one.  A child of top
-    row L needs at least L - rows - 1 more rows, of at least L cells each,
+    row L needs at least L - rows more rows, of at least L cells each,
     before it is tall; it is entered only while they fit, and since that
     need grows with L the first L that fails ends the loop.
 
     Given t, a child with a hook of length t is skipped with its subtree:
     every extension keeps that hook, so none of them is a t-core.
     """
+    if N < 0:
+        raise ValueError("N must be >= 0")
     cols = [0] * N  # mu'_j at cols[j - 1]
     downs = [range(L, 0, -1) for L in range(N + 1)]  # L - j + 1, j = 1..L
 
     def grow(n, top, rows, state):
+        rows += 1  # the children's row count
         for L in range(max(top, 1), N - n + 1):
-            if (L - rows - 1) * L > N - n - L:
+            if (L - rows) * L > N - n - L:
                 break
             hooks = list(map(add, downs[L], cols))
             if t and t in hooks:
                 continue
-            child = visit(state, L, hooks, n + L, rows + 1)
+            child = visit(state, (L < rows) + (L <= rows), hooks, n + L)
             for j in range(L):
                 cols[j] += 1
-            grow(n + L, L, rows + 1, child)
+            grow(n + L, L, rows, child)
             for j in range(L):
                 cols[j] -= 1
 
@@ -273,20 +278,19 @@ def _hook_sweep(N, cell):
     """[sum over partitions of n of f^2 * P for n = 0..N], f = n!/prod h.
 
     P starts at 1 and each cell of hook h turns it into cell(P, h), along
-    one _top_row_walk: a partition with mu_1 < rows counts twice, one with
-    mu_1 = rows once, and one with mu_1 > rows not at all.
+    one _top_row_walk.
     """
     fact = [factorial(n) for n in range(N + 1)]
     sums = [1] + [0] * N  # the empty partition: f = 1, P = 1
 
-    def visit(state, L, hooks, n, rows):
+    def visit(state, weight, hooks, n):
         H, P = state
         H *= prod(hooks)
         for h in hooks:
             P = cell(P, h)
-        if L <= rows:
+        if weight:
             f = fact[n] // H
-            sums[n] += (f * f if L == rows else 2 * f * f) * P
+            sums[n] += weight * f * f * P
         return H, P
 
     _top_row_walk(N, visit, (1, 1))
@@ -302,25 +306,32 @@ def _packing_bits(N):
     return (partition_count(N) * 2 ** N * factorial(N) ** 2).bit_length() + 2
 
 
+def _slots(packed, count, B):
+    """The `count` B-bit slots of a packed sum, lowest first.  No bits may
+    lie past the last slot; ArithmeticError otherwise."""
+    mask = (1 << B) - 1
+    out = []
+    for _ in range(count):
+        out.append(packed & mask)
+        packed >>= B
+    if packed:
+        raise ArithmeticError("packed sum has bits past its %d slots" % count)
+    return out
+
+
 def _unpack_hook_sum(packed, n, B):
     """The BetaPoly (1/n!^2) sum f^2 prod(h^2 - beta) from its value at
     -beta = X = 2^B.  Every coefficient must divide exactly by n!
-    (Corollary 2.3) and no bits may lie past degree n; ArithmeticError
-    otherwise.
+    (Corollary 2.3); ArithmeticError otherwise.
     """
     fact = factorial(n)
-    mask = (1 << B) - 1
     coeffs = []
-    for k in range(n + 1):
-        c, rem = divmod(packed & mask, fact)
+    for k, slot in enumerate(_slots(packed, n + 1, B)):
+        c, rem = divmod(slot, fact)
         if rem:
             raise ArithmeticError("packed hook sum of size %d: coefficient %d "
                                   "is not divisible by %d!" % (n, k, n))
         coeffs.append(Fraction(-c if k % 2 else c, fact))
-        packed >>= B
-    if packed:
-        raise ArithmeticError("packed hook sum of size %d has bits past "
-                              "degree %d" % (n, n))
     return BetaPoly(coeffs)
 
 
@@ -367,13 +378,13 @@ def hook_beta_sum_poly(n):
 def _cell_sum_powers(N, w, power):
     """[sum over partitions of n of (sum over cells of w[h]) ** power for
     n = 0..N], power >= 1: the walk carries each node's sum over its
-    cells, and the tall member of each conjugate pair counts for both."""
+    cells."""
     sums = [0] * (N + 1)  # the empty partition's cell sum is 0
 
-    def visit(S, L, hooks, n, rows):
+    def visit(S, weight, hooks, n):
         S += sum(map(w.__getitem__, hooks))
-        if L <= rows:
-            sums[n] += S ** power if L == rows else 2 * S ** power
+        if weight:
+            sums[n] += weight * S ** power
         return S
 
     _top_row_walk(N, visit, 0)
@@ -387,9 +398,7 @@ def _hook_censuses(N):
     exceeds the n p(n) cells of size n."""
     B = (N * partition_count(N)).bit_length()
     packed = _cell_sum_powers(N, [1 << h * B for h in range(N + 1)], 1)
-    mask = (1 << B) - 1
-    return tuple(tuple(s >> h * B & mask for h in range(n + 1))
-                 for n, s in enumerate(packed))
+    return tuple(tuple(_slots(s, n + 1, B)) for n, s in enumerate(packed))
 
 
 def hook_count_census(n):
@@ -412,11 +421,6 @@ def hook_power_moments(N, alpha):
     return [Fraction(sum(map(mul, census, w)), d) for census in _hook_censuses(N)]
 
 
-def hook_power_moment(n, alpha):
-    """sum over partitions of n of sum over cells of h^alpha (integer alpha)."""
-    return hook_power_moments(n, alpha)[n]
-
-
 @lru_cache(maxsize=None)
 def _hook_moments2(N, alpha):
     w, d = _power_weights(N, alpha)
@@ -427,11 +431,6 @@ def hook_power_moments2(N, alpha):
     """[sum over partitions of n of (sum over cells of h^alpha)^2 for
     n = 0..N], from one cached walk."""
     return list(_hook_moments2(N, alpha))
-
-
-def hook_power_moment2(n, alpha):
-    """sum over partitions of n of (sum over cells of h^alpha)^2."""
-    return _hook_moments2(n, alpha)[n]
 
 
 # ---------------------------------------------------------------------------

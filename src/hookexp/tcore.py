@@ -286,8 +286,7 @@ def t_cores_upto(N, t):
 
     The top-row walk, pruned at the first hook of length t, visits the
     t-cores and the children it rejects.  t-cores are closed under
-    conjugation, so the walk's tall members and the conjugates of the
-    strictly tall ones are all of them.
+    conjugation, so each node of weight 2 brings its conjugate too.
     """
     if N < 0:
         raise ValueError("n must be >= 0")
@@ -295,11 +294,11 @@ def t_cores_upto(N, t):
         raise ValueError("t must be a positive integer")
     out = [[()]] + [[] for _ in range(N)]
 
-    def visit(parts, L, hooks, n, rows):
-        parts = (L,) + parts
-        if L <= rows:
+    def visit(parts, weight, hooks, n):
+        parts = (len(hooks),) + parts
+        if weight:
             out[n].append(parts)
-            if L < rows:
+            if weight == 2:
                 out[n].append(conjugate_of(parts))
         return parts
 

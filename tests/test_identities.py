@@ -10,6 +10,7 @@ from hookexp.exactnum import BetaPoly
 from hookexp.partition import (
     b_stat_of,
     contents_of,
+    hook_beta_sum_poly,
     hooks_of,
     partition_tuples,
     syt_count_of,
@@ -84,7 +85,7 @@ def test_triple_hook_moment_has_constant_term_minus_552():
                              48) * factorial(n)
         recorded = Fraction(cubic * (27 * n ** 3 - 174 * n ** 2 + 511 * n - 600),
                             48) * factorial(n)
-        assert identities._hook_moment(n, 3) == corrected, n
+        assert identities._moment(hook_beta_sum_poly(n), n, 3) == corrected, n
         assert corrected - recorded == cubic * factorial(n), n
 
 
@@ -249,7 +250,7 @@ def test_hook_moment_matches_the_power_sum_forms():
             want[2] += f2 * (s1 * s1 - s2) // 2
             want[3] += f2 * (s1 ** 3 - 3 * s1 * s2 + 2 * s3) // 6
         for k in (1, 2, 3):
-            assert identities._hook_moment(m, k) == want[k], (m, k)
+            assert identities._moment(hook_beta_sum_poly(m), m, k) == want[k], (m, k)
 
 
 def test_moment_checks_read_one_sweep():
@@ -412,12 +413,12 @@ def _walk_without(node):
     walk = partition._top_row_walk
 
     def skewed(N, visit, state, t=None):
-        def drop(st, L, hooks, n, rows):
+        def drop(st, weight, hooks, n):
             parts, inner = st
             if parts is not None:
-                parts = (L,) + parts
+                parts = (len(hooks),) + parts
                 if parts != node:
-                    return parts, visit(inner, L, hooks, n, rows)
+                    return parts, visit(inner, weight, hooks, n)
             return None, inner
         walk(N, drop, ((), state), t)
     return skewed
@@ -507,8 +508,8 @@ def test_hook_moments_match_the_euler_power_series():
         for k in range(min(m, 5) + 1):
             want = (-1) ** (m - k) * factorial(m) ** 2 \
                 * formal[m].coefficient(m - k)
-            assert identities._hook_moment(m, k) == want, (m, k)
-    assert identities._hook_moment(3, 3) == 108
+            assert identities._moment(hook_beta_sum_poly(m), m, k) == want, (m, k)
+    assert identities._moment(hook_beta_sum_poly(3), 3, 3) == 108
 
 
 def _fraction_content_hook_total(beta, N, content_shift):

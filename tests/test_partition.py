@@ -19,8 +19,8 @@ from hookexp.partition import (
     hook_eval_product,
     hook_lists,
     hook_multiset_all,
-    hook_power_moment,
-    hook_power_moment2,
+    hook_power_moments,
+    hook_power_moments2,
     hook_type_census,
     hooks_of,
     part_occurrence_census,
@@ -384,6 +384,15 @@ def test_sweep_rejects_negative_sizes():
         hook_beta_sums_poly(-1)
 
 
+def test_census_and_moments_reject_negative_sizes():
+    # the walk refuses N < 0 as the sweep does: no IndexError, no []
+    for call in (hook_count_census, hook_multiset_all,
+                 lambda n: hook_power_moments(n, -2),
+                 lambda n: hook_power_moments2(n, -2)):
+        with pytest.raises(ValueError, match="N must be >= 0"):
+            call(-1)
+
+
 def test_every_hook_sum_of_one_size_comes_from_one_sweep(monkeypatch):
     import hookexp.partition as part
     part._hook_sums_poly.cache_clear()
@@ -420,19 +429,28 @@ def test_corrupted_packed_sum_raises_under_python_O():
     import sys
     # one unit more in the lowest coefficient breaks the division by n!;
     # a bit past degree n is left over after unpacking
-    for corrupt in ("s[6] + 1", "s[6] + (1 << 7 * B)"):
-        code = ("import hookexp.partition as P\n"
-                "B = P._packing_bits(6)\n"
-                "sweep = P._hook_sweep\n"
-                "def bad(N, cell):\n"
-                "    s = sweep(N, cell)\n"
-                "    s[6] = %s\n"
-                "    return s\n"
-                "P._hook_sweep = bad\n"
-                "P.hook_beta_sums_poly(6)\n" % corrupt)
-        run = subprocess.run([sys.executable, "-O", "-c", code],
+    sweep = ("B = P._packing_bits(6)\n"
+             "walk = P._hook_sweep\n"
+             "def bad(N, cell):\n"
+             "    s = walk(N, cell)\n"
+             "    s[6] = %s\n"
+             "    return s\n"
+             "P._hook_sweep = bad\n"
+             "P.hook_beta_sums_poly(6)\n")
+    # the census packs the count of hook h at w[h] = 2^(hB): a bit past
+    # slot n is left over too
+    census = ("walk = P._cell_sum_powers\n"
+              "def bad(N, w, power):\n"
+              "    s = walk(N, w, power)\n"
+              "    s[6] += w[6] << w[1].bit_length() - 1\n"
+              "    return s\n"
+              "P._cell_sum_powers = bad\n"
+              "P.hook_count_census(6)\n")
+    for code in (sweep % "s[6] + 1", sweep % "s[6] + (1 << 7 * B)", census):
+        run = subprocess.run([sys.executable, "-O", "-c",
+                              "import hookexp.partition as P\n" + code],
                              capture_output=True, text=True)
-        assert run.returncode == 1, corrupt
+        assert run.returncode == 1, code
         assert "ArithmeticError" in run.stderr, run.stderr
 
 
@@ -474,11 +492,11 @@ def test_census_matches_per_partition_hook_counts():
 def test_census_dot_products_match_the_section_6_statistics():
     for m in range(13):
         for alpha in (-4, -2, -1, 0, 1, 2):
-            assert hook_power_moment(m, alpha) == _stat_sum(
+            assert hook_power_moments(m, alpha)[m] == _stat_sum(
                 m, lambda hooks: _power_stat(hooks, alpha))
-        pair = (hook_power_moment2(m, -2) - hook_power_moment(m, -4)) / 2
+        pair = (hook_power_moments2(m, -2)[m] - hook_power_moments(m, -4)[m]) / 2
         assert pair == _stat_sum(m, _pair_stat)
-        assert hook_power_moment2(m, -2) == _stat_sum(m, _sq_stat)
+        assert hook_power_moments2(m, -2)[m] == _stat_sum(m, _sq_stat)
 
 
 def test_census_and_moments_of_every_size_come_from_one_walk(monkeypatch):
@@ -504,17 +522,16 @@ def test_census_and_moments_of_every_size_come_from_one_walk(monkeypatch):
             for m in range(N + 1)]
     assert part.hook_power_moments2(N, -2) == [_stat_sum(m, _sq_stat)
                                                for m in range(N + 1)]
-    assert part.hook_power_moments2(N, -2)[N] == hook_power_moment2(N, -2)
     assert walks == [N, N]  # one census walk, one second-moment walk
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 14), st.integers(-4, 4))
 def test_census_power_moments_at_random_alpha(m, alpha):
-    got = hook_power_moment(m, alpha)
+    got = hook_power_moments(m, alpha)[m]
     assert type(got) is Fraction
     assert got == _stat_sum(m, lambda hooks: _power_stat(hooks, alpha))
-    assert hook_power_moment2(m, alpha) == _stat_sum(
+    assert hook_power_moments2(m, alpha)[m] == _stat_sum(
         m, lambda hooks: _power_stat(hooks, alpha) ** 2)
 
 
