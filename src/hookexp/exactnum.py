@@ -33,6 +33,11 @@ def parse_rational(text):
         raise ValueError("zero denominator: %r" % (text,)) from None
 
 
+def _require_size(value, name):
+    if value < 0:
+        raise ValueError("%s must be >= 0" % name)
+
+
 def diff_product(vec):
     """prod over i < j of (vec[i] - vec[j]), exactly."""
     return prod(a - b for a, b in combinations(vec, 2))

@@ -24,7 +24,7 @@ from itertools import count, takewhile
 from math import factorial, lcm, prod
 from operator import add, mul
 
-from .exactnum import BetaPoly, roots_poly
+from .exactnum import BetaPoly, _require_size, roots_poly
 
 
 # ---------------------------------------------------------------------------
@@ -40,8 +40,7 @@ def enumerate_partitions(n):
     the trailing ones are refilled by parts of r and a remainder.  Past
     index h the list holds only ones, so nothing needs clearing.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _require_size(n, "n")
     if not n:
         yield ()
         return
@@ -251,8 +250,7 @@ def _top_row_walk(N, visit, state, t=None):
     Given t, a child with a hook of length t is skipped with its subtree:
     every extension keeps that hook, so none of them is a t-core.
     """
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    _require_size(N, "N")
     cols = [0] * N  # mu'_j at cols[j - 1]
     downs = [range(L, 0, -1) for L in range(N + 1)]  # L - j + 1, j = 1..L
 
@@ -342,8 +340,7 @@ def _hook_sums_poly(N):
     The sweep carries P = prod(h^2 + X), X = -beta, as one integer at
     X = 2^B (Kronecker substitution), so each cell costs h^2 P + (P << B).
     """
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    _require_size(N, "N")  # ahead of factorial(N) in _packing_bits
     B = _packing_bits(N)
     sums = _hook_sweep(N, lambda P, h: h * h * P + (P << B))
     return tuple(_unpack_hook_sum(s, n, B) for n, s in enumerate(sums))
@@ -376,9 +373,9 @@ def hook_beta_sum_poly(n):
 # each partition, from one walk over every size n <= N
 
 def _cell_sum_powers(N, w, power):
-    """[sum over partitions of n of (sum over cells of w[h]) ** power for
-    n = 0..N], power >= 1: the walk carries each node's sum over its
-    cells."""
+    """[sum over partitions of n of (sum over cells of w[h - 1]) ** power
+    for n = 0..N], power >= 1, from one walk."""
+    w = dict(enumerate(w, 1))  # hook length -> weight
     sums = [0] * (N + 1)  # the empty partition's cell sum is 0
 
     def visit(S, weight, hooks, n):
@@ -393,25 +390,23 @@ def _cell_sum_powers(N, w, power):
 
 @lru_cache(maxsize=None)
 def _hook_censuses(N):
-    """hook_count_census(n) for n = 0..N.  The walk sums each cell's
-    1 << h*B, so slot h of B bits counts the cells of hook h; no count
-    exceeds the n p(n) cells of size n."""
+    """hook_count_census(n)[1:] for n = 0..N: slot h - 1 of B bits counts
+    the cells of hook h, at most the n p(n) cells of size n."""
     B = (N * partition_count(N)).bit_length()
-    packed = _cell_sum_powers(N, [1 << h * B for h in range(N + 1)], 1)
-    return tuple(tuple(_slots(s, n + 1, B)) for n, s in enumerate(packed))
+    packed = _cell_sum_powers(N, [1 << k * B for k in range(N)], 1)
+    return tuple(tuple(_slots(s, n, B)) for n, s in enumerate(packed))
 
 
 def hook_count_census(n):
     """Int tuple C: C[h] cells of hook length h over the partitions of n."""
-    return _hook_censuses(n)[n]
+    return (0,) + _hook_censuses(n)[n]
 
 
 def _power_weights(n, alpha):
-    """Ints w[h], d with h^alpha = w[h] / d for 1 <= h <= n; w[0] = 0."""
-    if alpha >= 0:
-        return [0] + [h ** alpha for h in range(1, n + 1)], 1
-    top = lcm(*range(1, n + 1))
-    return [0] + [(top // h) ** -alpha for h in range(1, n + 1)], top ** -alpha
+    """Ints w[h - 1], d with h^alpha = w[h - 1] / d for 1 <= h <= n."""
+    d = 1 if alpha >= 0 else lcm(*range(1, n + 1)) ** -alpha
+    return [h ** alpha if alpha >= 0 else d // h ** -alpha
+            for h in range(1, n + 1)], d
 
 
 def hook_power_moments(N, alpha):

@@ -15,7 +15,7 @@ reversion of x * (Euler product).
 from fractions import Fraction
 from math import factorial, isqrt, perm
 
-from .exactnum import BetaPoly, power_by_squaring
+from .exactnum import BetaPoly, _require_size, power_by_squaring
 from .partition import (
     _pentagonal_terms,
     b_stat_of,
@@ -190,6 +190,7 @@ class Series:
 def divisor_power_gf(alpha, order):
     """sum_{k>=1} k^alpha x^k / (1 - x^k): coefficient of x^n is
     sum of d^alpha over divisors d of n."""
+    _require_size(order, "order")
     out = [_ZERO] * (order + 1)
     for k in range(1, order + 1):
         term = Fraction(k ** alpha) if alpha >= 0 else Fraction(1, k ** -alpha)
@@ -224,6 +225,7 @@ def euler_power_recurrence(s, order):
     of them, for integer s); every coefficient of the result is a Fraction,
     as with euler_power.
     """
+    _require_size(order, "order")
     s = Fraction(s)
     p, q = s.numerator, s.denominator
     terms = _pentagonal_terms(order)
@@ -260,6 +262,7 @@ def euler_power_formal(order):
     The A_n are plain int coefficient lists, lowest degree first; each is
     divided by n! once, when the BetaPoly is built.
     """
+    _require_size(order, "order")
     terms = _pentagonal_terms(order)
     A = [[1]]
     for n in range(1, order + 1):
@@ -288,6 +291,7 @@ def euler_product_direct(s, order, step=1):
     (1 - x^d) is multiplied in (or divided out, for negative s) directly on
     an integer coefficient array.
     """
+    _require_size(order, "order")
     if not isinstance(s, int):
         raise ValueError("direct product route needs an integer exponent")
     arr = [0] * (order + 1)
@@ -322,11 +326,13 @@ def _sparse(order, terms):
 def pentagonal_series(order):
     """prod (1 - x^m) = sum_{k in Z} (-1)^k x^{k(3k+1)/2}: the constant 1
     and the terms of _pentagonal_terms."""
+    _require_size(order, "order")
     return _sparse(order, [(0, 1)] + _pentagonal_terms(order))
 
 
 def jacobi_cube_series(order):
     """prod (1 - x^m)^3 = sum_{m>=0} (-1)^m (2m+1) x^{m(m+1)/2}."""
+    _require_size(order, "order")
     return _sparse(order, ((m * (m + 1) // 2, (-1) ** m * (2 * m + 1))
                            for m in range(isqrt(2 * order) + 1)))
 
@@ -345,6 +351,7 @@ def eta8_double_sum(order):
       +(3k+1)(3m+1)(3k+3m+2)/2 at exponent k^2+k+m^2+m+km, and
       -(3k+2)(3m+2)(3k+3m+4)/2 at exponent k^2+k+m^2+m+(k+1)(m+1).
     """
+    _require_size(order, "order")
     r = range(isqrt(order) + 1)  # both exponents are at least k^2 and m^2
     return _sparse(order, (term for k in r for m in r for term in (
         (k * k + k + m * m + m + k * m,
@@ -365,6 +372,7 @@ def macdonald_eta_power(t, order):
     its core's weight, as the t-core coding search lists them.
     """
     _require_coding_t(t)
+    _require_size(order, "order")
     out = []
     for n in range(order + 1):
         c = sum((core_product_from_v(v_from_n(nvec, t), t)
@@ -387,6 +395,7 @@ def geometric_divide(arr, h):
 def schur_principal_x(parts, order):
     """s_lambda(x, x^2, x^3, ...) truncated: x^(|. | + b) / prod (1 - x^h),
     a series with int coefficients."""
+    _require_size(order, "order")
     shift = sum(parts) + b_stat_of(parts)
     arr = [0] * (order + 1)
     if shift <= order:
@@ -422,8 +431,7 @@ def revert_euler(order, method="lagrange"):
     and then checks the fixed point at the full order.  Both return
     Fraction coefficients.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    _require_size(order, "order")
     if method == "lagrange":
         coeffs = [_ZERO]
         sums = hook_beta_sums_poly(max(order - 1, 0))

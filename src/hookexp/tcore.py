@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import isqrt
 from operator import add, sub
 
-from .exactnum import diff_product, superfactorial
+from .exactnum import _require_size, diff_product, superfactorial
 from .partition import (
     _top_row_walk,
     conjugate_of,
@@ -188,9 +188,7 @@ def n_coding(parts, t):
 
 def v_from_n(nvec, t):
     """The V-coding of an N-coding's core: V holds t*n_j + j - (t-1)/2."""
-    _require_coding_t(t)
-    if len(nvec) != t or sum(nvec) != 0:
-        raise ValueError("N-coding must have t entries summing to zero")
+    _validate_n(nvec, t)
     tp = (t - 1) // 2
     v = _by_residue([t * m + j - tp for j, m in enumerate(nvec)], t,
                     "V-coding residues must be distinct")
@@ -206,6 +204,12 @@ def n_from_v(vvec, t):
         [v + tp for v in vvec], t, "N-coding residues must be distinct"))
     _invariant(sum(n) == 0, "N-coding must sum to zero")
     return n
+
+
+def _validate_n(nvec, t):
+    _require_coding_t(t)
+    if len(nvec) != t or sum(nvec) != 0:
+        raise ValueError("N-coding must have t entries summing to zero")
 
 
 def _validate_v(vvec, t):
@@ -257,9 +261,7 @@ def core_weight_from_v(vvec, t):
 
 def core_weight_from_n(nvec, t):
     """Weight of the coded core: (t/2) * sum(n^2) + sum(i * n_i), exactly."""
-    _require_coding_t(t)
-    if len(nvec) != t or sum(nvec) != 0:
-        raise ValueError("N-coding must have t entries summing to zero")
+    _validate_n(nvec, t)
     num = t * sum(m * m for m in nvec) + 2 * sum(i * m for i, m in enumerate(nvec))
     q, r = divmod(num, 2)
     _invariant(r == 0, "N-coding weight must be an integer")
@@ -288,8 +290,7 @@ def t_cores_upto(N, t):
     t-cores and the children it rejects.  t-cores are closed under
     conjugation, so each node of weight 2 brings its conjugate too.
     """
-    if N < 0:
-        raise ValueError("n must be >= 0")
+    _require_size(N, "n")
     if not isinstance(t, int) or t < 1:
         raise ValueError("t must be a positive integer")
     out = [[()]] + [[] for _ in range(N)]
@@ -315,8 +316,7 @@ def enumerate_t_cores(n, t, method="filter"):
     """
     if method == "filter":
         return list(t_cores_upto(n, t)[n])
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _require_size(n, "n")
     if method != "coding":
         raise ValueError("method must be 'filter' or 'coding'")
     _require_coding_t(t)

@@ -437,16 +437,19 @@ def test_corrupted_packed_sum_raises_under_python_O():
              "    return s\n"
              "P._hook_sweep = bad\n"
              "P.hook_beta_sums_poly(6)\n")
-    # the census packs the count of hook h at w[h] = 2^(hB): a bit past
-    # slot n is left over too
+    # the census packs the count of hook h at w[h - 1] = 2^((h - 1)B), n
+    # slots for size n: a bit just past hook n is left over too, and so is
+    # any bit of size 0, which has no slot
     census = ("walk = P._cell_sum_powers\n"
               "def bad(N, w, power):\n"
               "    s = walk(N, w, power)\n"
-              "    s[6] += w[6] << w[1].bit_length() - 1\n"
+              "    s[%d] += %s\n"
               "    return s\n"
               "P._cell_sum_powers = bad\n"
-              "P.hook_count_census(6)\n")
-    for code in (sweep % "s[6] + 1", sweep % "s[6] + (1 << 7 * B)", census):
+              "P.hook_count_census(%d)\n")
+    for code in (sweep % "s[6] + 1", sweep % "s[6] + (1 << 7 * B)",
+                 census % (6, "w[5] << w[1].bit_length() - 1", 6),
+                 census % (0, "1", 0), census % (0, "1 << 40", 6)):
         run = subprocess.run([sys.executable, "-O", "-c",
                               "import hookexp.partition as P\n" + code],
                              capture_output=True, text=True)

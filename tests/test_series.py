@@ -251,6 +251,38 @@ def test_revert_euler_refuses_a_negative_order():
             revert_euler(-1, method=method)
 
 
+NEGATIVE_ORDER = {
+    "euler_power_recurrence": lambda: euler_power_recurrence(2, -1),
+    "euler_power_formal": lambda: euler_power_formal(-1),
+    "euler_power": lambda: euler_power(2, -1),
+    "euler_power beta": lambda: euler_power(BetaPoly.beta(), -1),
+    "partition_gf": lambda: partition_gf(-1),
+    "pentagonal_series": lambda: pentagonal_series(-1),
+    "divisor_power_gf": lambda: divisor_power_gf(1, -1),
+    "log_euler_sum": lambda: log_euler_sum(-1),
+    "macdonald_eta_power": lambda: macdonald_eta_power(3, -1),
+    "schur_principal_x": lambda: schur_principal_x((2, 1), -1),
+    "jacobi_cube_series": lambda: jacobi_cube_series(-1),
+    "eta8_double_sum": lambda: eta8_double_sum(-1),
+    "euler_product_direct": lambda: euler_product_direct(2, -1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_ORDER))
+def test_every_series_refuses_a_negative_order_as_reversion_does(name):
+    with pytest.raises(ValueError) as want:
+        revert_euler(-1)
+    with pytest.raises(ValueError) as got:
+        NEGATIVE_ORDER[name]()
+    assert str(got.value) == str(want.value) == "order must be >= 0"
+
+
+def test_an_empty_series_keeps_its_own_message():
+    with pytest.raises(ValueError, match="a series needs at least the "
+                                         "constant term"):
+        Series([])
+
+
 def test_lagrange_integrality_check_raises(monkeypatch):
     import hookexp.series as series_mod
     monkeypatch.setattr(series_mod, "hook_beta_sums_poly",

@@ -239,6 +239,16 @@ def test_weight_formulas_agree_with_size():
                 assert core_weight_from_n(n_coding(core, t), t) == n
 
 
+def test_both_n_coding_readers_refuse_one_bad_shape_alike():
+    for read in (v_from_n, core_weight_from_n):
+        for nvec in ((0, 0), (0, 0, 0, 0), (1, 0, 0)):
+            with pytest.raises(ValueError, match="^N-coding must have t "
+                                                 "entries summing to zero$"):
+                read(nvec, 3)
+        with pytest.raises(ValueError, match="odd t >= 3"):
+            read((0, 0, 0, 0), 4)
+
+
 def test_worked_core_weight_and_product():
     v = v_coding(CORE54, 5)
     assert core_weight_from_v(v, 5) == 54
