@@ -11,7 +11,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 Rational = Fraction
 
@@ -199,12 +199,19 @@ class BetaPoly:
         return power_by_squaring(self, n, BetaPoly((1,)), "BetaPoly")
 
     def eval(self, point):
-        """Evaluate at an exact point (Horner)."""
-        acc = Fraction(0)
+        """Evaluate at an exact point p/q: Horner's rule on ints, over the
+        coefficients' least common denominator d, and one division by
+        d q^degree."""
         point = Fraction(point)
+        if not self.coeffs:
+            return Fraction(0)
+        p, q = point.numerator, point.denominator
+        d = lcm(*(c.denominator for c in self.coeffs))
+        acc, qk = 0, 1  # qk = q^(degree - i) at coefficient i
         for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+            acc = acc * p + c.numerator * (d // c.denominator) * qk
+            qk *= q
+        return Fraction(acc, d * qk // q)
 
     def subst_linear(self, a, b):
         """The polynomial p(a + b*X) in the new variable X."""

@@ -245,7 +245,9 @@ def _top_row_walk(N, visit, state, t=None):
     length in cells, so the tall member is the cheap one.  A child of top
     row L needs at least L - rows more rows, of at least L cells each,
     before it is tall; it is entered only while they fit, and since that
-    need grows with L the first L that fails ends the loop.
+    need grows with L the first L that fails ends the loop.  By the same
+    rule at L' = L, a child whose own first row does not fit is a leaf, and
+    the walk does not descend into it.
 
     Given t, a child with a hook of length t is skipped with its subtree:
     every extension keeps that hook, so none of them is a t-core.
@@ -253,21 +255,28 @@ def _top_row_walk(N, visit, state, t=None):
     _require_size(N, "N")
     cols = [0] * N  # mu'_j at cols[j - 1]
     downs = [range(L, 0, -1) for L in range(N + 1)]  # L - j + 1, j = 1..L
+    succ = (1).__add__
+
+    def fits(L, rows, room):
+        # a new top row of L cells, the rows-th row, with room cells left
+        # for it and for the L - rows rows of >= L cells still to come
+        return L <= room and (L - rows) * L <= room - L
 
     def grow(n, top, rows, state):
         rows += 1  # the children's row count
-        for L in range(max(top, 1), N - n + 1):
-            if (L - rows) * L > N - n - L:
+        room = N - n
+        for L in count(max(top, 1)):
+            if not fits(L, rows, room):
                 break
             hooks = list(map(add, downs[L], cols))
             if t and t in hooks:
                 continue
             child = visit(state, (L < rows) + (L <= rows), hooks, n + L)
-            for j in range(L):
-                cols[j] += 1
-            grow(n + L, L, rows, child)
-            for j in range(L):
-                cols[j] -= 1
+            if fits(L, rows + 1, room - L):
+                below = cols[:L]
+                cols[:L] = map(succ, below)
+                grow(n + L, L, rows, child)
+                cols[:L] = below
 
     grow(0, 0, 0, state)
 
@@ -403,7 +412,10 @@ def hook_count_census(n):
 
 
 def _power_weights(n, alpha):
-    """Ints w[h - 1], d with h^alpha = w[h - 1] / d for 1 <= h <= n."""
+    """Ints w[h - 1], d with h^alpha = w[h - 1] / d for 1 <= h <= n; alpha
+    must be an int (not a bool)."""
+    if not isinstance(alpha, int) or isinstance(alpha, bool):
+        raise ValueError("alpha must be an integer, got %r" % (alpha,))
     d = 1 if alpha >= 0 else lcm(*range(1, n + 1)) ** -alpha
     return [h ** alpha if alpha >= 0 else d // h ** -alpha
             for h in range(1, n + 1)], d
@@ -416,7 +428,7 @@ def hook_power_moments(N, alpha):
     return [Fraction(sum(map(mul, census, w)), d) for census in _hook_censuses(N)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # True must miss the entry of 1
 def _hook_moments2(N, alpha):
     w, d = _power_weights(N, alpha)
     return tuple(Fraction(s, d * d) for s in _cell_sum_powers(N, w, 2))

@@ -13,7 +13,8 @@ reversion of x * (Euler product).
 """
 
 from fractions import Fraction
-from math import factorial, isqrt, perm
+from math import factorial, isqrt, lcm, perm
+from operator import mul
 
 from .exactnum import BetaPoly, _require_size, power_by_squaring
 from .partition import (
@@ -43,10 +44,12 @@ class Series:
 
     @classmethod
     def zero(cls, order, one=_ONE):
+        _require_size(order, "order")
         return cls([one * 0] * (order + 1))
 
     @classmethod
     def x(cls, order, one=_ONE):
+        _require_size(order, "order")
         cs = [one * 0] * (order + 1)
         if order >= 1:
             cs[1] = one
@@ -59,6 +62,19 @@ class Series:
     def _zero_one(self):
         one = self.coeffs[0] ** 0
         return one * 0, one
+
+    @staticmethod
+    def _ints(cs):
+        """(ints, d) with cs[i] = ints[i] / d and d the least common
+        denominator, when every c is an int or a Fraction (cs itself and 1
+        when every c is an int); else None."""
+        kinds = set(map(type, cs))
+        if kinds <= {int}:
+            return cs, 1
+        if not kinds <= {int, Fraction}:
+            return None
+        d = lcm(*[c.denominator for c in cs])
+        return [c.numerator * (d // c.denominator) for c in cs], d
 
     def __getitem__(self, n):
         return self.coeffs[n]
@@ -104,13 +120,24 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.order, other.order)
-        zero = self.coeffs[0] * 0
+        a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
+        sa, sb = self._ints(a), self._ints(b)
+        if sa and sb:
+            # rational coefficients: one int convolution over da * db, and
+            # an all-int product stays int
+            (A, da), (B, db) = sa, sb
+            B = B[::-1]
+            out = [sum(map(mul, A, B[n - m:])) for m in range(n + 1)]
+            if Fraction in set(map(type, a + b)):
+                out = [Fraction(c, da * db) for c in out]
+            return Series(out)
+        zero = a[0] * 0
         out = [zero] * (n + 1)
-        for i, ca in enumerate(self.coeffs[: n + 1]):
+        for i, ca in enumerate(a):
             if not ca:
                 continue
             for j in range(n + 1 - i):
-                cb = other.coeffs[j]
+                cb = b[j]
                 if cb:
                     out[i + j] += ca * cb
         return Series(out)
@@ -123,11 +150,19 @@ class Series:
                                  "series")
 
     def inverse(self):
-        """Multiplicative inverse; the constant term must be a unit."""
+        """Multiplicative inverse; the constant term must be a unit.  Int
+        coefficients with constant term +-1 have an int inverse, which is
+        found on ints."""
         zero, one = self._zero_one()
         c0 = self.coeffs[0]
         if not c0:
             raise ValueError("constant term must be invertible")
+        scaled = self._ints(self.coeffs)
+        if scaled and scaled[1] == 1 and c0 in (1, -1):
+            cs, out = scaled[0][1:], [int(c0)]
+            for _ in cs:
+                out.append(-out[0] * sum(map(mul, cs, reversed(out))))
+            return Series(map(Fraction, out))
         inv0 = Fraction(1) / c0
         out = [zero] * (self.order + 1)
         out[0] = one * inv0
@@ -141,19 +176,34 @@ class Series:
         return Series(out)
 
     def exp(self):
-        """exp of a series with zero constant term."""
+        """exp of a series f with zero constant term, by
+        n out[n] = sum_k k f_k out[n - k].
+
+        While every k f_k is an integer (as for an integer Euler power) the
+        sums run on ints, each divided by n exactly; from the first inexact
+        division on they run on Fractions.
+        """
         zero, one = self._zero_one()
         if self.coeffs[0] != zero:
             raise ValueError("exp needs a zero constant term")
-        out = [zero] * (self.order + 1)
-        out[0] = one
-        for n in range(1, self.order + 1):
+        g = [k * fk for k, fk in enumerate(self.coeffs)]  # g[k] = k f_k
+        out = [one]
+        scaled = self._ints(g[1:])
+        if scaled and scaled[1] == 1:
+            gs, ints = scaled[0], [1]
+            for n in range(1, self.order + 1):
+                c, r = divmod(sum(map(mul, gs, reversed(ints))), n)
+                if r:
+                    break
+                ints.append(c)
+            out += map(Fraction, ints[1:])
+        for n in range(len(out), self.order + 1):
             acc = zero
             for k in range(1, n + 1):
-                fk = self.coeffs[k]
-                if fk:
-                    acc += (k * fk) * out[n - k]
-            out[n] = acc * Fraction(1, n)
+                gk = g[k]
+                if gk:
+                    acc += gk * out[n - k]
+            out.append(acc * Fraction(1, n))
         return Series(out)
 
     def log(self):

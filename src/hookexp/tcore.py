@@ -45,6 +45,11 @@ def _require_coding_t(t):
         raise ValueError("codings need an odd t >= 3, got %r" % (t,))
 
 
+def _require_t(t):
+    if not isinstance(t, int) or t < 1:
+        raise ValueError("t must be a positive integer")
+
+
 def is_t_core(parts, t):
     """True when no hook length equals t (any integer t >= 1).
 
@@ -53,8 +58,7 @@ def is_t_core(parts, t):
     between the sets {row_i - i - 1 - t} and {j - conj_j}.  Every match is a
     cell: for j >= row_i, j - conj_j >= row_i - i.
     """
-    if not isinstance(t, int) or t < 1:
-        raise ValueError("t must be a positive integer")
+    _require_t(t)
     parts = validate_partition(parts)
     conj = conjugate_of(parts)
     return set(map(sub, range(len(conj)), conj)).isdisjoint(
@@ -291,8 +295,7 @@ def t_cores_upto(N, t):
     conjugation, so each node of weight 2 brings its conjugate too.
     """
     _require_size(N, "n")
-    if not isinstance(t, int) or t < 1:
-        raise ValueError("t must be a positive integer")
+    _require_t(t)
     out = [[()]] + [[] for _ in range(N)]
 
     def visit(parts, weight, hooks, n):

@@ -135,6 +135,16 @@ def test_betapoly_eval_is_a_homomorphism(p, q, x):
     assert (p * q).eval(x) == p.eval(x) * q.eval(x)
 
 
+@given(polys, st.one_of(rationals, st.integers(-50, 50)))
+def test_betapoly_eval_matches_the_fraction_horner_loop(p, x):
+    want = Fraction(0)
+    for c in reversed(p.coeffs):
+        want = want * x + c
+    got = p.eval(x)
+    assert got == want
+    assert type(got) is Fraction
+
+
 @given(polys, rationals, rationals, rationals)
 def test_subst_linear_agrees_with_eval(p, a, b, x):
     assert p.subst_linear(a, b).eval(x) == p.eval(a + b * x)

@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from math import factorial
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -377,6 +378,48 @@ def test_sweep_walks_the_tall_member_of_each_conjugate_pair():
     assert sums == [factorial(n) for n in range(35)]  # sum f^2 = n!
 
 
+def _column_loop_walk(N, visit, state, t=None):
+    """The top-row walk with one loop per column update and no leaf test
+    (every child entered is grown, leaves too): the oracle of the visits
+    of _top_row_walk."""
+    cols = [0] * N
+    downs = [range(L, 0, -1) for L in range(N + 1)]
+
+    def grow(n, top, rows, state):
+        rows += 1
+        for L in range(max(top, 1), N - n + 1):
+            if (L - rows) * L > N - n - L:
+                break
+            hooks = list(map(add, downs[L], cols))
+            if t and t in hooks:
+                continue
+            child = visit(state, (L < rows) + (L <= rows), hooks, n + L)
+            for j in range(L):
+                cols[j] += 1
+            grow(n + L, L, rows, child)
+            for j in range(L):
+                cols[j] -= 1
+
+    grow(0, 0, 0, state)
+
+
+def test_walk_visits_what_the_column_loop_walk_visits():
+    import hookexp.partition as part
+    for t in (None, 1, 2, 3, 5):
+        for N in range(15):
+            runs = []
+            for walk in (_column_loop_walk, part._top_row_walk):
+                seen = []
+
+                def visit(parent, weight, hooks, n):
+                    # each node records its parent's index: the states too
+                    seen.append((parent, weight, tuple(hooks), n))
+                    return len(seen) - 1
+                walk(N, visit, -1, t)
+                runs.append(seen)
+            assert runs[0] == runs[1], (N, t)
+
+
 def test_sweep_rejects_negative_sizes():
     with pytest.raises(ValueError, match="N must be >= 0"):
         hook_beta_sums(-1, 2)
@@ -500,6 +543,23 @@ def test_census_dot_products_match_the_section_6_statistics():
         pair = (hook_power_moments2(m, -2)[m] - hook_power_moments(m, -4)[m]) / 2
         assert pair == _stat_sum(m, _pair_stat)
         assert hook_power_moments2(m, -2)[m] == _stat_sum(m, _sq_stat)
+
+
+def test_power_moments_refuse_a_non_int_alpha_before_any_walk(monkeypatch):
+    import hookexp.partition as part
+    assert hook_power_moments2(6, 1) == [_stat_sum(m, lambda hooks: sum(
+        hooks, Fraction(0)) ** 2) for m in range(7)]  # (6, 1) is cached
+    part._hook_censuses.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("alpha must be refused before the walk")
+    monkeypatch.setattr(part, "_top_row_walk", refuse)
+    for alpha in (Fraction(1, 2), True, False, 2.0, "2"):
+        for moments in (hook_power_moments, hook_power_moments2):
+            with pytest.raises(ValueError) as err:
+                moments(6, alpha)
+            assert str(err.value) == "alpha must be an integer, got %r" % (
+                alpha,)
 
 
 def test_census_and_moments_of_every_size_come_from_one_walk(monkeypatch):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,6 +96,127 @@ def test_inverse_roundtrip(a):
     coeffs[0] = Fraction(1)
     a = Series(coeffs)
     assert (a * a.inverse()).coeffs == [1] + [0] * 6
+
+
+# The plain Fraction loops that mul, exp and inverse run on ints where they
+# can: the oracles of the differential tests below.
+
+def _mul_loop(a, b):
+    n = min(len(a), len(b)) - 1
+    out = [Fraction(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def _exp_loop(f):
+    out = [Fraction(1)]
+    for n in range(1, len(f)):
+        out.append(sum((k * f[k] * out[n - k] for k in range(1, n + 1)),
+                       Fraction(0)) / n)
+    return out
+
+
+def _inverse_loop(c):
+    out = [1 / Fraction(c[0])]
+    for n in range(1, len(c)):
+        out.append(-sum((c[k] * out[n - k] for k in range(1, n + 1)),
+                        Fraction(0)) * out[0])
+    return out
+
+
+int_coeffs = st.integers(-30, 30)
+rational_coeffs = st.one_of(int_coeffs, st.fractions(
+    min_value=-9, max_value=9, max_denominator=12))
+coeff_lists = st.one_of(st.lists(int_coeffs, min_size=1, max_size=12),
+                        st.lists(rational_coeffs, min_size=1, max_size=12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(coeff_lists, coeff_lists)
+def test_products_match_the_fraction_loop(a, b):
+    got = (Series(a) * Series(b)).coeffs
+    assert got == _mul_loop(a, b)
+    n = len(got)  # the product reads only the terms through its order
+    if all(type(c) is int for c in a[:n] + b[:n]):
+        assert {type(c) for c in got} == {int}  # an int product stays int
+    else:
+        assert {type(c) for c in got} == {Fraction}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(int_coeffs, max_size=14),
+       st.lists(rational_coeffs, max_size=14))
+def test_exp_matches_the_fraction_loop(ks, fs):
+    # k f_k = a_k: the int lane, up to its first inexact division; and
+    # rationals, which mostly skip it
+    for f in ([Fraction(0)] + [Fraction(a, k) for k, a in enumerate(ks, 1)],
+              [Fraction(0)] + fs):
+        got = Series(f).exp().coeffs
+        assert got == _exp_loop(f)
+        assert all(type(c) is Fraction for c in got)
+
+
+def test_exp_leaves_the_int_lane_at_its_first_inexact_division():
+    # exp(x^3) = sum x^(3m) / m!: integral through x^5, 1/2 at x^6
+    got = Series([Fraction(0)] * 3 + [Fraction(1)] + [Fraction(0)] * 14).exp()
+    assert got.coeffs == [Fraction(1, factorial(n // 3)) if n % 3 == 0 else 0
+                          for n in range(18)]
+    # s = 7/2: k f_k = -7 sigma(k) / 2 is not integral at k = 1
+    f = [-Fraction(7, 2) * c for c in log_euler_sum(30).coeffs]
+    assert euler_power(Fraction(7, 2), 30).coeffs == _exp_loop(f)
+    assert euler_power(Fraction(7, 2), 30) == euler_power_recurrence(
+        Fraction(7, 2), 30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, -1, 2, Fraction(-3, 2)]),
+       st.lists(int_coeffs, max_size=12),
+       st.lists(rational_coeffs, max_size=12))
+def test_inverse_matches_the_fraction_loop(c0, ks, fs):
+    # int coefficients over a unit take the int lane; a non-unit constant
+    # term or a fraction does not
+    for c in ([c0] + ks, [c0] + fs):
+        got = Series(c).inverse().coeffs
+        assert got == _inverse_loop(c)
+        assert all(type(x) is Fraction for x in got)
+
+
+def test_int_lanes_hold_at_order_200():
+    lg, p = log_euler_sum(200), partition_gf(200)
+    assert p.coeffs == [partition_count(n) for n in range(201)]
+    assert euler_power(3, 200) == euler_product_direct(3, 200)
+    assert (lg * p).coeffs == _mul_loop(lg.coeffs, p.coeffs)
+
+
+def test_betapoly_series_take_the_generic_loops():
+    beta = BetaPoly.beta()
+    a = Series([BetaPoly([1, 2]), beta, Fraction(1, 3), BetaPoly([0, 0, -1])])
+    b = Series([Fraction(2), BetaPoly([1, 1]), 3, beta])
+    f = Series([BetaPoly(), beta, BetaPoly([Fraction(1, 2), -1]), 5, 0])
+    prod, ex = a * b, f.exp()
+    assert all(type(c) is BetaPoly for c in prod.coeffs + ex.coeffs)
+    for x in (Fraction(0), Fraction(7, 2), Fraction(-3)):
+        def at(s):
+            return [c.eval(x) if isinstance(c, BetaPoly) else c
+                    for c in s.coeffs]
+        assert at(prod) == _mul_loop(at(a), at(b))
+        assert at(ex) == _exp_loop(at(f))
+
+
+def test_reversion_by_iteration_runs_on_ints(monkeypatch):
+    kinds = set()
+    compose = Series.compose
+
+    def recorded(self, inner):
+        out = compose(self, inner)
+        kinds.update(map(type, self.coeffs + inner.coeffs + out.coeffs))
+        return out
+    monkeypatch.setattr(Series, "compose", recorded)
+    y = revert_euler(30, method="iterate")
+    assert kinds == {int}
+    assert y == revert_euler(30, method="lagrange")
 
 
 def _divisor_sum(n, alpha):
@@ -265,6 +387,8 @@ NEGATIVE_ORDER = {
     "jacobi_cube_series": lambda: jacobi_cube_series(-1),
     "eta8_double_sum": lambda: eta8_double_sum(-1),
     "euler_product_direct": lambda: euler_product_direct(2, -1),
+    "Series.zero": lambda: Series.zero(-1),
+    "Series.x": lambda: Series.x(-1),
 }
 
 

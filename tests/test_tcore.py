@@ -387,8 +387,10 @@ def test_walk_listing_rejects_bad_input():
     with pytest.raises(ValueError, match="n must be >= 0"):
         t_cores_upto(-1, 3)
     for t in (0, -2, 2.0, None):
-        with pytest.raises(ValueError, match="positive integer"):
-            t_cores_upto(5, t)
+        for call in (lambda: t_cores_upto(5, t), lambda: is_t_core((2, 1), t)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == "t must be a positive integer"
 
 
 def test_enumerate_rejects_negative_n():
