@@ -38,6 +38,14 @@ def _require_size(value, name):
         raise ValueError("%s must be >= 0" % name)
 
 
+def _require_exact(value, name):
+    """Refuse a float (inexact) or a bool (not a number here) where an
+    exact rational is meant."""
+    if isinstance(value, (float, bool)):
+        raise ValueError("%s must be an int or a Fraction, got %r"
+                         % (name, value))
+
+
 def diff_product(vec):
     """prod over i < j of (vec[i] - vec[j]), exactly."""
     return prod(a - b for a, b in combinations(vec, 2))
@@ -202,6 +210,7 @@ class BetaPoly:
         """Evaluate at an exact point p/q: Horner's rule on ints, over the
         coefficients' least common denominator d, and one division by
         d q^degree."""
+        _require_exact(point, "point")
         point = Fraction(point)
         if not self.coeffs:
             return Fraction(0)

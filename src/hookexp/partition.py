@@ -24,7 +24,7 @@ from itertools import count, takewhile
 from math import factorial, lcm, prod
 from operator import add, mul
 
-from .exactnum import BetaPoly, _require_size, roots_poly
+from .exactnum import BetaPoly, _require_exact, _require_size, roots_poly
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +210,7 @@ def hook_beta_poly_of(parts):
 
 def hook_eval_product(parts, beta):
     """prod over cells of (1 - beta/h^2) at an exact rational beta."""
+    _require_exact(beta, "beta")
     beta = Fraction(beta)
     p, q = beta.numerator, beta.denominator
     num = 1

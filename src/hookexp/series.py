@@ -24,8 +24,7 @@ from .partition import (
     hook_beta_sums_poly,
     hooks_of,
 )
-from .tcore import (_codings_of_weight, _require_coding_t,
-                    core_product_from_v, v_from_n)
+from .tcore import _require_coding_t, _v_codings, core_product_from_v
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -150,30 +149,22 @@ class Series:
                                  "series")
 
     def inverse(self):
-        """Multiplicative inverse; the constant term must be a unit.  Int
-        coefficients with constant term +-1 have an int inverse, which is
-        found on ints."""
-        zero, one = self._zero_one()
-        c0 = self.coeffs[0]
-        if not c0:
+        """Multiplicative inverse of a series with int or Fraction
+        coefficients and a nonzero constant term, found on ints: with the
+        coefficients F_k / d over one denominator d and c = F_0,
+        G_0 = 1 and G_n = -sum_{k>=1} F_k c^(k-1) G_{n-k}, and the inverse
+        has d G_n / c^(n+1) at x^n."""
+        if not self.coeffs[0]:
             raise ValueError("constant term must be invertible")
         scaled = self._ints(self.coeffs)
-        if scaled and scaled[1] == 1 and c0 in (1, -1):
-            cs, out = scaled[0][1:], [int(c0)]
-            for _ in cs:
-                out.append(-out[0] * sum(map(mul, cs, reversed(out))))
-            return Series(map(Fraction, out))
-        inv0 = Fraction(1) / c0
-        out = [zero] * (self.order + 1)
-        out[0] = one * inv0
-        for n in range(1, self.order + 1):
-            acc = zero
-            for k in range(1, n + 1):
-                ck = self.coeffs[k]
-                if ck:
-                    acc += ck * out[n - k]
-            out[n] = -acc * inv0
-        return Series(out)
+        if scaled is None:
+            raise ValueError("the inverse needs int or Fraction coefficients")
+        (c, *F), d = scaled
+        w = [f * c ** k for k, f in enumerate(F)]  # w[k - 1] = F_k c^(k-1)
+        G = [1]
+        for _ in F:
+            G.append(-sum(map(mul, w, reversed(G))))
+        return Series([Fraction(d * g, c ** (n + 1)) for n, g in enumerate(G)])
 
     def exp(self):
         """exp of a series f with zero constant term, by
@@ -419,14 +410,15 @@ def macdonald_eta_power(t, order):
     Sums (-1)^((t-1)/2)/(1!2!...(t-1)!) * prod_{i<j}(v_i - v_j) over integer
     vectors (v_0..v_{t-1}) with v_i = i mod t and sum zero, the exponent of x
     being sum(v^2)/(2t) - (t^2-1)/24: the V-codings of the t-cores, each at
-    its core's weight, as the t-core coding search lists them.
+    its core's weight.  The t-core coding search _v_codings lists the
+    vectors of each weight and hands each one to core_product_from_v, so
+    no vector is kept and none is decoded to a partition.
     """
     _require_coding_t(t)
     _require_size(order, "order")
     out = []
     for n in range(order + 1):
-        c = sum((core_product_from_v(v_from_n(nvec, t), t)
-                 for nvec in _codings_of_weight(n, t)), _ZERO)
+        c = sum(_v_codings(n, t, lambda v: core_product_from_v(v, t)), _ZERO)
         if c.denominator != 1:
             raise ArithmeticError("eta-power coefficients must be integers")
         out.append(c)

@@ -15,7 +15,9 @@ t-core is encoded three equivalent ways, each listed by residue mod t
 
 Decoding closes each positive entry of U downward in steps of t to get the
 first-column hooks.  Weight and hook products are polynomial in the
-codings: see core_weight_from_v / core_product_from_v.
+codings: see core_weight_from_v / core_product_from_v.  The coding search
+_v_codings walks the V-codings of one weight directly, as the weight is
+sum(v^2)/(2t) - (t^2 - 1)/24, and hands each to a reader.
 The public codings check their input; _u_of/_v_of/_n_of code a known t-core.
 """
 
@@ -314,8 +316,8 @@ def enumerate_t_cores(n, t, method="filter"):
     """All t-cores of n, reverse-lexicographic, as plain tuples.
 
     method="filter" lists them from one walk that prunes at hooks of
-    length t (t_cores_upto); method="coding" (odd t >= 3 only) enumerates
-    zero-sum N-codings of weight n and decodes them.
+    length t (t_cores_upto); method="coding" (odd t >= 3 only) decodes
+    the V-codings of weight n that _v_codings lists.
     """
     if method == "filter":
         return list(t_cores_upto(n, t)[n])
@@ -323,65 +325,50 @@ def enumerate_t_cores(n, t, method="filter"):
     if method != "coding":
         raise ValueError("method must be 'filter' or 'coding'")
     _require_coding_t(t)
-    cores = [core_from_v(v_from_n(nvec, t), t) for nvec in _codings_of_weight(n, t)]
+    cores = _v_codings(n, t, lambda v: core_from_v(v, t))
     cores.sort(reverse=True)
     return cores
 
 
-def _codings_of_weight(n, t):
-    """All zero-sum N-codings with core weight exactly n, lexicographic.
+def _v_codings(n, t, read):
+    """[read(v)] for every V-coding v of core weight n (odd t >= 3), each
+    v a tuple, lexicographic.
 
-    The doubled weight is sum_j (t m_j^2 + 2j m_j).  When the coordinates
-    j = i..t-1 must sum to S, Cauchy-Schwarz on m_j + j/t bounds their part
-    below by (tS + J)^2 / (tk) - Q/t over the reals, with k = t - i,
-    J = sum j and Q = sum j^2.  Asking that the coordinates after i can still
-    place the weight left over is then a quadratic inequality in m_i, so each
-    level scans one integer interval; the last two coordinates solve a
-    quadratic equation.
+    The weight is n exactly when sum(v^2) = 2tn + t(t^2 - 1)/12.  When the
+    k = t - i coordinates from i on must sum to S with squares summing to
+    R, the k - 1 after v_i need (S - v_i)^2 <= (k - 1)(R - v_i^2)
+    (Cauchy-Schwarz), so v_i lies in [(S - r)/k, (S + r)/k] with
+    r = sqrt((k - 1)(kR - S^2)), stepping through its residue class mod t.
+    The last two coordinates solve v^2 + (S - v)^2 = R.
     """
-    # per level i < t - 2: k, and J', Q' of the k' = k - 1 coordinates after i
-    levels = []
-    for i in range(t - 2):
-        after = range(i + 1, t)
-        levels.append((t - i, sum(after), sum(j * j for j in after)))
     last = t - 2
-    two_t = 2 * t
     out = []
     vec = [0] * t
 
     def descend(i, S, R):
-        # coordinates i.. must sum to S and add R to the doubled weight
         if i == last:
-            # m_{t-2} = x, m_{t-1} = S - x:
-            # 2t x^2 - 2(tS + 1) x + (tS^2 + 2(t - 1)S - R) = 0
-            b = t * S + 1
-            disc = b * b - two_t * (t * S * S + 2 * (t - 1) * S - R)
+            disc = 2 * R - S * S
             if disc < 0:
                 return
-            r = isqrt(disc)
-            if r * r != disc:
+            d = isqrt(disc)
+            if d * d != disc:
                 return
-            for num in ((b - r, b + r) if r else (b,)):
-                x, rem = divmod(num, two_t)
-                if not rem:
-                    vec[last] = x
-                    vec[last + 1] = S - x
-                    out.append(tuple(vec))
+            for num in ((S - d, S + d) if d else (S,)):
+                v, odd = divmod(num, 2)
+                if not odd and v % t == last:  # then S - v = t - 1 mod t
+                    vec[last] = v
+                    vec[last + 1] = S - v
+                    out.append(read(tuple(vec)))
             return
-        k, jp, qp = levels[i]
-        kp = k - 1
-        # t k' (R - t m^2 - 2i m) >= (t(S - m) + J')^2 - k' Q', that is
-        # -t^2 k m^2 + 2t B m + C >= 0, roots (B -+ sqrt(B^2 + kC)) / (tk)
-        ts = t * S
-        B = ts + jp - kp * i
-        D = B * B + k * (t * kp * R + kp * qp - (ts + jp) ** 2)
+        k = t - i
+        D = (k - 1) * (k * R - S * S)
         if D < 0:
             return
         r = isqrt(D)
-        tk = t * k
-        for m in range(-((r - B) // tk), (B + r) // tk + 1):
-            vec[i] = m
-            descend(i + 1, S - m, R - t * m * m - 2 * i * m)
+        lo = -((r - S) // k)
+        for v in range(lo + (i - lo) % t, (S + r) // k + 1, t):
+            vec[i] = v
+            descend(i + 1, S - v, R - v * v)
 
-    descend(0, 0, 2 * n)
+    descend(0, 0, 2 * t * n + t * (t * t - 1) // 12)
     return out

@@ -593,9 +593,11 @@ def test_cores_decode_checks_survive_python_O():
         # the decoded diagram is checked for a hook of length t
         "T.is_t_core = lambda p, t: False":
             ("ArithmeticError", "must be a t-core"),
-        # a repeated first-column hook decodes to increasing parts
-        "orig = T.u_from_v; T.u_from_v = lambda v, t: orig(v, t) + (max(orig(v, t)),)":
-            ("error: parts must be weakly decreasing", ""),
+        # a repeated first-column hook decodes to increasing parts: the
+        # last class's entry is replaced by the one before it
+        "orig = T.u_from_v; T.u_from_v = lambda v, t: orig(v, t)[:-1] + orig(v, t)[-2:-1]":
+            ("error: parts must be weakly decreasing: (1, 2, 2, 2, 0, 1, 1, 1)\n",
+             ""),
     }
     for patch, (kind, what) in patches.items():
         code = ("import sys, hookexp.tcore as T; from hookexp.cli import main; "

@@ -52,6 +52,11 @@ def test_betapoly_eval_at_rational_point():
     assert p.eval(Fraction(0)) == 1
     # the discriminant coefficient at beta = 25: (1-25)(1-25/4) = 126
     assert p.eval(Fraction(25)) == 126
+    # no float and no bool is taken for an exact point
+    for bad in (0.1, 4.0, True, False):
+        with pytest.raises(ValueError, match="^point must be an int or a "
+                           "Fraction, got %r$" % (bad,)):
+            p.eval(bad)
 
 
 def test_betapoly_eval_tau_coefficient():

@@ -193,8 +193,8 @@ CAUGHT = {cid: set(kernels.split()) for cid, kernels in {
     "macdonald":
         "exactnum.diff_product exactnum.superfactorial "
         "series.divisor_power_gf series.euler_power series.log_euler_sum "
-        "series.macdonald_eta_power tcore._by_residue "
-        "tcore.core_product_from_v tcore.v_from_n",
+        "series.macdonald_eta_power tcore._v_codings "
+        "tcore.core_product_from_v",
     "magic":
         "exactnum.roots_poly partition._hook_sums_poly partition._hook_sweep "
         "partition._slots partition._unpack_hook_sum partition.b_stat_of "

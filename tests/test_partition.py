@@ -248,6 +248,13 @@ def test_staircase_products_at_beta_4():
     for m in range(1, 7):
         got = hook_eval_product(staircase(m), 4)
         assert got == (-1) ** m * (2 * m + 1)
+    # no float and no bool is taken for an exact beta
+    for bad in (4.0, 0.5, True, False):
+        with pytest.raises(ValueError, match="^beta must be an int or a "
+                           "Fraction, got %r$" % (bad,)):
+            hook_eval_product((2, 1), bad)
+        with pytest.raises(ValueError, match="^point must be"):
+            hook_beta_sums(3, bad)
 
 
 def test_doubled_staircase_products_at_beta_9():

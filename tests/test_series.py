@@ -76,8 +76,12 @@ def test_exp_log_roundtrip():
 
 
 def test_inverse_requires_unit_constant_term():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^constant term must be invertible$"):
         Series([Fraction(0), Fraction(1)]).inverse()
+    with pytest.raises(ValueError, match="^constant term must be invertible$"):
+        Series([BetaPoly(), BetaPoly.beta()]).inverse()
+    with pytest.raises(ValueError, match="int or Fraction coefficients"):
+        Series([BetaPoly.constant(1), BetaPoly.beta()]).inverse()
     with pytest.raises(ValueError):
         Series([Fraction(1), Fraction(1)]).exp()
 
@@ -175,8 +179,8 @@ def test_exp_leaves_the_int_lane_at_its_first_inexact_division():
        st.lists(int_coeffs, max_size=12),
        st.lists(rational_coeffs, max_size=12))
 def test_inverse_matches_the_fraction_loop(c0, ks, fs):
-    # int coefficients over a unit take the int lane; a non-unit constant
-    # term or a fraction does not
+    # every int or Fraction series, over a unit or not, takes the one int
+    # lane; the Fraction loop is its oracle
     for c in ([c0] + ks, [c0] + fs):
         got = Series(c).inverse().coeffs
         assert got == _inverse_loop(c)
@@ -298,13 +302,13 @@ def test_macdonald_needs_an_odd_t_of_at_least_3():
 
 def test_macdonald_reads_the_coding_search_at_every_degree(monkeypatch):
     import hookexp.series as series_mod
-    real = series_mod._codings_of_weight
+    real = series_mod._v_codings
     calls = []
 
-    def counting(n, t):
+    def counting(n, t, read):
         calls.append((n, t))
-        return real(n, t)
-    monkeypatch.setattr(series_mod, "_codings_of_weight", counting)
+        return real(n, t, read)
+    monkeypatch.setattr(series_mod, "_v_codings", counting)
     assert macdonald_eta_power(5, 8) == euler_power(24, 8)
     assert calls == [(n, 5) for n in range(9)]
 

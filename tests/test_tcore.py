@@ -14,7 +14,7 @@ from hookexp.partition import (
 )
 from hookexp.tcore import (
     HSet,
-    _codings_of_weight,
+    _v_codings,
     core_from_v,
     core_product_from_v,
     core_weight_from_n,
@@ -320,7 +320,7 @@ def test_five_core_counts_to_300_match_the_eta_quotient():
         for i in range(m, N + 1):
             ser[i] += ser[i - m]
     for n in range(N + 1):
-        assert len(_codings_of_weight(n, 5)) == ser[n], n
+        assert len(_v_codings(n, 5, lambda v: v)) == ser[n], n
     for n in (0, 1, 2, 151, 299, 300):  # decoding keeps every coding
         assert len(enumerate_t_cores(n, 5, method="coding")) == ser[n], n
 
@@ -355,9 +355,12 @@ def _codings_by_scan(n, t):
 
 
 def test_coding_search_matches_the_box_scan():
+    # the scan works on N-codings, so it shares no bound with the V search
     for t, top in ((3, 120), (5, 60), (7, 30), (9, 16), (11, 10)):
         for n in range(top):
-            assert _codings_of_weight(n, t) == _codings_by_scan(n, t), (n, t)
+            got = _v_codings(n, t, lambda v: v)  # lexicographic
+            want = sorted(v_from_n(m, t) for m in _codings_by_scan(n, t))
+            assert got == sorted(got) == want, (n, t)
 
 
 def test_filter_takes_a_t_past_every_hook():
