@@ -46,6 +46,12 @@ def _require_exact(value, name):
                          % (name, value))
 
 
+def _require_int(value, name):
+    """Refuse anything but an int (a bool included)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+
+
 def diff_product(vec):
     """prod over i < j of (vec[i] - vec[j]), exactly."""
     return prod(a - b for a, b in combinations(vec, 2))

@@ -24,7 +24,13 @@ from itertools import count, takewhile
 from math import factorial, lcm, prod
 from operator import add, mul
 
-from .exactnum import BetaPoly, _require_exact, _require_size, roots_poly
+from .exactnum import (
+    BetaPoly,
+    _require_exact,
+    _require_int,
+    _require_size,
+    roots_poly,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +421,7 @@ def hook_count_census(n):
 def _power_weights(n, alpha):
     """Ints w[h - 1], d with h^alpha = w[h - 1] / d for 1 <= h <= n; alpha
     must be an int (not a bool)."""
-    if not isinstance(alpha, int) or isinstance(alpha, bool):
-        raise ValueError("alpha must be an integer, got %r" % (alpha,))
+    _require_int(alpha, "alpha")
     d = 1 if alpha >= 0 else lcm(*range(1, n + 1)) ** -alpha
     return [h ** alpha if alpha >= 0 else d // h ** -alpha
             for h in range(1, n + 1)], d

@@ -16,7 +16,13 @@ from fractions import Fraction
 from math import factorial, isqrt, lcm, perm
 from operator import mul
 
-from .exactnum import BetaPoly, _require_size, power_by_squaring
+from .exactnum import (
+    BetaPoly,
+    _require_exact,
+    _require_int,
+    _require_size,
+    power_by_squaring,
+)
 from .partition import (
     _pentagonal_terms,
     b_stat_of,
@@ -230,7 +236,8 @@ class Series:
 
 def divisor_power_gf(alpha, order):
     """sum_{k>=1} k^alpha x^k / (1 - x^k): coefficient of x^n is
-    sum of d^alpha over divisors d of n."""
+    sum of d^alpha over divisors d of n (integer alpha)."""
+    _require_int(alpha, "alpha")
     _require_size(order, "order")
     out = [_ZERO] * (order + 1)
     for k in range(1, order + 1):
@@ -248,6 +255,7 @@ def log_euler_sum(order):
 def euler_power(s, order):
     """prod_{m>=1} (1 - x^m)^s via exp/log, for an exact rational s or a
     BetaPoly s such as BetaPoly.beta() (then a Series of BetaPolys)."""
+    _require_exact(s, "s")
     if not isinstance(s, BetaPoly):
         s = Fraction(s)
     lg = log_euler_sum(order)
@@ -257,39 +265,37 @@ def euler_power(s, order):
 def euler_power_recurrence(s, order):
     """prod_{m>=1} (1 - x^m)^s for an exact rational s = p/q, by the
     Euler / J.C.P. Miller power recurrence (Knuth, TAOCP vol. 2, 4.7) over
-    the pentagonal series f = prod (1 - x^m):
+    f = prod (1 - x^m), run on the ints B_n = q^(2n) a_n:
 
-        q n a_n = sum_{k>=1} ((p + q) k - q n) f_k a_{n-k},
+        n B_n = sum_{k>=1} ((p + q) k - q n) f_k q^(2k-1) B_{n-k},
 
     where only the O(sqrt(n)) pentagonal k of _pentagonal_terms contribute.
-    The coefficients are Python ints up to the first non-integral one (all
-    of them, for integer s); every coefficient of the result is a Fraction,
-    as with euler_power.
+    B_n is an integer, since every binomial(p/q, j) has a denominator
+    dividing q^(2j-1) (p(p-q)...(p-(j-1)q) takes each prime of j! that does
+    not divide q, and v_l(j!) < j); so the one division, by n, is exact.
+    Each coefficient is built once, as the Fraction B_n / q^(2n).
     """
+    _require_exact(s, "s")
     _require_size(order, "order")
     s = Fraction(s)
     p, q = s.numerator, s.denominator
-    terms = _pentagonal_terms(order)
-    a = [1]
+    # term k of the sum is (u - n v) B_{n-k}
+    terms = [(k, (p + q) * k * fk * q ** (2 * k - 1), fk * q ** (2 * k))
+             for k, fk in _pentagonal_terms(order)]
+    B = [1]
     for n in range(1, order + 1):
         acc = 0
-        for k, fk in terms:
+        for k, u, v in terms:
             if k > n:
                 break
-            acc += ((p + q) * k - q * n) * fk * a[n - k]
-        den = q * n
-        if isinstance(acc, int):
-            c, r = divmod(acc, den)
-            if r:
-                if q == 1:
-                    raise ArithmeticError(
-                        "integer Euler power has a non-integral x^%d coefficient"
-                        % n)
-                c = Fraction(acc, den)
-        else:
-            c = acc / den
-        a.append(c)
-    return Series([Fraction(c) for c in a])
+            acc += (u - n * v) * B[n - k]
+        b, r = divmod(acc, n)
+        if r:
+            raise ArithmeticError("inexact division by n at x^%d" % n)
+        B.append(b)
+    if q == 1:  # Fraction(b) builds faster than Fraction(b, 1)
+        return Series(list(map(Fraction, B)))
+    return Series([Fraction(b, q ** (2 * n)) for n, b in enumerate(B)])
 
 
 def euler_power_formal(order):
@@ -333,7 +339,7 @@ def euler_product_direct(s, order, step=1):
     an integer coefficient array.
     """
     _require_size(order, "order")
-    if not isinstance(s, int):
+    if not isinstance(s, int) or isinstance(s, bool):
         raise ValueError("direct product route needs an integer exponent")
     arr = [0] * (order + 1)
     arr[0] = 1

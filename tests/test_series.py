@@ -130,6 +130,29 @@ def _inverse_loop(c):
     return out
 
 
+def _recurrence_loop(s, order):
+    # ints up to the first inexact division, Fractions from there on
+    s = Fraction(s)
+    p, q = s.numerator, s.denominator
+    terms = _pentagonal_terms(order)
+    a = [1]
+    for n in range(1, order + 1):
+        acc = 0
+        for k, fk in terms:
+            if k > n:
+                break
+            acc += ((p + q) * k - q * n) * fk * a[n - k]
+        den = q * n
+        if isinstance(acc, int):
+            c, r = divmod(acc, den)
+            if r:
+                c = Fraction(acc, den)
+        else:
+            c = acc / den
+        a.append(c)
+    return [Fraction(c) for c in a]
+
+
 int_coeffs = st.integers(-30, 30)
 rational_coeffs = st.one_of(int_coeffs, st.fractions(
     min_value=-9, max_value=9, max_denominator=12))
@@ -347,11 +370,34 @@ def test_exp_log_power_at_a_formal_exponent_evaluates_to_numeric_ones(s):
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_rationals, st.integers(min_value=0, max_value=40))
+@given(st.fractions(min_value=-12, max_value=12, max_denominator=12),
+       st.integers(min_value=0, max_value=40))
 def test_power_recurrence_matches_exp_log(s, order):
     rec = euler_power_recurrence(s, order)
     assert rec == euler_power(s, order)
+    assert rec.coeffs == _recurrence_loop(s, order)
     assert all(type(c) is Fraction for c in rec.coeffs)
+    # B_n = q^(2n) a_n, which the recurrence runs on, is an integer
+    q = s.denominator
+    assert all((c * q ** (2 * n)).denominator == 1
+               for n, c in enumerate(rec.coeffs))
+
+
+@pytest.mark.parametrize("p", [1, 25, 49])
+def test_power_recurrence_matches_the_fraction_loop_at_half_exponents(p):
+    s = Fraction(p, 2)
+    assert euler_power_recurrence(s, 300).coeffs == _recurrence_loop(s, 300)
+
+
+@pytest.mark.parametrize("s, n", [(1, 1), (Fraction(1, 2), 2)])
+def test_power_recurrence_refuses_an_inexact_division(monkeypatch, s, n):
+    # an int series with constant term 1 keeps every division exact, so
+    # only a non-integral term can trip the check
+    import hookexp.series as series_mod
+    monkeypatch.setattr(series_mod, "_pentagonal_terms",
+                        lambda order: [(1, Fraction(-1, 2))])
+    with pytest.raises(ArithmeticError, match=r"at x\^%d$" % n):
+        euler_power_recurrence(s, 3)
 
 
 @settings(max_examples=25, deadline=None)
@@ -394,6 +440,34 @@ NEGATIVE_ORDER = {
     "Series.zero": lambda: Series.zero(-1),
     "Series.x": lambda: Series.x(-1),
 }
+
+
+INEXACT_EXPONENT = {
+    "euler_power_recurrence": (lambda s: euler_power_recurrence(s, 3),
+                               "s must be an int or a Fraction, got %r"),
+    "euler_power": (lambda s: euler_power(s, 3),
+                    "s must be an int or a Fraction, got %r"),
+    "divisor_power_gf": (lambda alpha: divisor_power_gf(alpha, 3),
+                         "alpha must be an integer, got %r"),
+    "euler_product_direct": (lambda s: euler_product_direct(s, 3),
+                             "direct product route needs an integer exponent"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INEXACT_EXPONENT))
+def test_every_exponent_refuses_a_float_or_a_bool(name):
+    fn, message = INEXACT_EXPONENT[name]
+    for bad in (0.1, 0.5, 2.0, True, False):
+        with pytest.raises(ValueError) as err:
+            fn(bad)
+        assert str(err.value) == message.replace("%r", repr(bad))
+    assert fn(2).order == 3  # an int still goes through
+
+
+def test_divisor_power_gf_refuses_a_fraction_alpha():
+    with pytest.raises(ValueError, match=r"^alpha must be an integer, "
+                                         r"got Fraction\(1, 2\)$"):
+        divisor_power_gf(Fraction(1, 2), 3)
 
 
 @pytest.mark.parametrize("name", sorted(NEGATIVE_ORDER))
