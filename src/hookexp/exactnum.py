@@ -5,6 +5,16 @@ ints (arbitrary precision), rationals are `fractions.Fraction` (kept in
 canonical reduced form with positive denominator by the stdlib), and symbolic
 coefficients live in `BetaPoly`, a dense univariate polynomial over the
 rationals.  No floats anywhere.
+
+The number rule of every public boundary lives here, in three helpers that
+only raise (a ValueError that names the parameter):
+
+ * `_require_int`: an int, never a bool (optionally at least some low);
+ * `_require_size`: an int >= 0, for every size, order and count;
+ * `_require_exact`: an int or a Fraction, never a bool, a float or a str
+   (a BetaPoly too, where a formal value is meant).
+
+`parse_rational` is the one entry that takes text.
 """
 
 import json
@@ -24,6 +34,8 @@ def parse_rational(text):
     >>> parse_rational("-3/6")
     Fraction(-1, 2)
     """
+    if type(text) is not str:
+        raise TypeError("text must be a str, got %r" % (text,))
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError("not a rational: %r" % (text,))
@@ -33,23 +45,33 @@ def parse_rational(text):
         raise ValueError("zero denominator: %r" % (text,)) from None
 
 
+def _require_int(value, name, low=None, message=None):
+    """Raise a ValueError unless value is an int (a bool is not) and, given
+    low, at least low: "<name> must be an integer, got <value>" or
+    "<name> must be >= <low>", or the caller's own message, which
+    str.format fills with the value."""
+    if type(value) is not int:
+        raise ValueError(message.format(value) if message else
+                         "%s must be an integer, got %r" % (name, value))
+    if low is not None and value < low:
+        raise ValueError(message.format(value) if message else
+                         "%s must be >= %d" % (name, low))
+
+
 def _require_size(value, name):
-    if value < 0:
-        raise ValueError("%s must be >= 0" % name)
+    """Raise unless value is an int >= 0: a size, an order or a count."""
+    _require_int(value, name, 0)
 
 
-def _require_exact(value, name):
-    """Refuse a float (inexact) or a bool (not a number here) where an
-    exact rational is meant."""
-    if isinstance(value, (float, bool)):
+_EXACT = (int, Fraction)
+
+
+def _require_exact(value, name, beta_poly=False):
+    """Raise a ValueError unless value is an int or a Fraction (never a
+    bool, a float or a str), or, given beta_poly, a BetaPoly."""
+    if type(value) not in _EXACT and not (beta_poly and type(value) is BetaPoly):
         raise ValueError("%s must be an int or a Fraction, got %r"
                          % (name, value))
-
-
-def _require_int(value, name):
-    """Refuse anything but an int (a bool included)."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError("%s must be an integer, got %r" % (name, value))
 
 
 def diff_product(vec):
@@ -77,8 +99,7 @@ def superfactorial(k):
 def power_by_squaring(base, n, one, what):
     """base ** n by repeated squaring from the identity `one`; `what` names
     the type in the error for an n that is not a non-negative int."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("%s powers must be non-negative integers" % what)
+    _require_int(n, "n", 0, "%s powers must be non-negative integers" % what)
     out = one
     while n:
         if n & 1:
@@ -90,17 +111,18 @@ def power_by_squaring(base, n, one, what):
 
 def format_rational(value):
     """Render an exact integer or Fraction as "p/q", or "p" when q == 1."""
-    q = Fraction(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+    _require_exact(value, "value")
+    if value.denominator == 1:
+        return str(value.numerator)
+    return "%d/%d" % (value.numerator, value.denominator)
 
 
 class BetaPoly:
     """Polynomial in one formal variable with Fraction coefficients.
 
-    Coefficients are stored densely, lowest degree first, with trailing
-    zeros stripped; the zero polynomial has an empty coefficient tuple and
+    Coefficients are given as ints or Fractions (_require_exact) and stored
+    densely as Fractions, lowest degree first, with trailing zeros
+    stripped; the zero polynomial has an empty coefficient tuple and
     degree -1.  The variable is conventionally called beta, but the class is
     used for any formal parameter (beta, s, ...).
     """
@@ -108,7 +130,12 @@ class BetaPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = []
+        for c in coeffs:
+            if type(c) is not Fraction:
+                _require_exact(c, "coeffs entry")
+                c = Fraction(c)
+            cs.append(c)
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -141,7 +168,7 @@ class BetaPoly:
     def _coerce(other):
         if isinstance(other, BetaPoly):
             return other
-        if isinstance(other, (int, Fraction)):
+        if type(other) in _EXACT:
             return BetaPoly((other,))
         return None
 
@@ -185,7 +212,7 @@ class BetaPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) in _EXACT:
             if not other:
                 return BetaPoly()
             return BetaPoly(tuple(c * other for c in self.coeffs))
@@ -205,7 +232,7 @@ class BetaPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) in _EXACT:
             return self * (Fraction(1) / other)
         return NotImplemented
 
@@ -217,7 +244,6 @@ class BetaPoly:
         coefficients' least common denominator d, and one division by
         d q^degree."""
         _require_exact(point, "point")
-        point = Fraction(point)
         if not self.coeffs:
             return Fraction(0)
         p, q = point.numerator, point.denominator

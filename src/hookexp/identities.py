@@ -29,7 +29,13 @@ from itertools import chain
 from math import factorial, isqrt, prod
 from types import SimpleNamespace
 
-from .exactnum import BetaPoly, diff_product, roots_poly, serialize_scalar
+from .exactnum import (
+    BetaPoly,
+    _require_int,
+    diff_product,
+    roots_poly,
+    serialize_scalar,
+)
 from .partition import (
     b_stat_of,
     contents_of,
@@ -714,9 +720,15 @@ def verify_all(order_budget=None, workers=None):
     """Run every registry entry; reports ordered by id.
 
     The worker count comes from the HOOKEXP_WORKERS environment variable
-    (default 1) unless given explicitly; results do not depend on it.
+    (default 1) unless given explicitly; results do not depend on it.  An
+    order_budget or workers that is not an int (or is a bool), or workers
+    below 1, raises ValueError before any check runs.
     """
-    if workers is None:
+    if order_budget is not None:
+        _require_int(order_budget, "order_budget")
+    if workers is not None:
+        _require_int(workers, "workers", 1)
+    else:
         raw = os.environ.get(WORKERS_ENV, "") or "1"
         if not raw.strip().isdecimal() or int(raw) < 1:
             raise ValueError("%s must be a positive integer, got %r"

@@ -15,6 +15,10 @@ the hook-count census and the hook power moments, and, pruned at a hook of
 length t, the t-cores (`tcore`).  `hook_beta_poly_of` and
 `hook_eval_product` give the product of one partition, for the checks that
 sum it themselves.
+
+The public functions check their numbers by the rule of `exactnum` and a
+partition by `_require_partition`, once, at entry.  Every cache keyed by a
+number is typed, so 1.0 or True never reads the entry of 1.
 """
 
 from collections import Counter
@@ -76,7 +80,7 @@ def enumerate_partitions(n):
         yield tuple(x[:m])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def partition_tuples(n):
     """All partitions of n, in the order of enumerate_partitions, cached."""
     return tuple(enumerate_partitions(n))
@@ -107,6 +111,7 @@ def partition_count(n):
     The table grows bottom-up, so a large n needs no deep recursion, and
     each term is built once, when the table reaches its e.
     """
+    _require_int(n, "n")
     if n < 0:
         return 0
     table, terms = _PARTITION_COUNTS, _COUNT_TERMS
@@ -138,7 +143,8 @@ def conjugate_of(parts):
 
 
 def hooks_of(parts):
-    """All hook lengths, row-major."""
+    """All hook lengths, row-major, of a partition it checks first."""
+    _require_partition(parts)
     conj = conjugate_of(parts)
     out = []
     for i, row in enumerate(parts):
@@ -147,7 +153,7 @@ def hooks_of(parts):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def hook_lists(n):
     """Hook lengths of each partition of n as bytes, aligned index-by-index
     with partition_tuples(n).  No hook exceeds n, so n must be <= 255.
@@ -181,13 +187,22 @@ def b_stat_of(parts):
     return sum(i * row for i, row in enumerate(parts))
 
 
-def validate_partition(parts):
-    parts = tuple(parts)
+def _require_partition(parts):
+    """Raise a ValueError unless the sequence parts is weakly decreasing
+    and made of positive ints (a bool is not one)."""
     for i, row in enumerate(parts):
-        if not isinstance(row, int) or row < 1:
-            raise ValueError("parts must be positive integers: %r" % (parts,))
+        if type(row) is not int or row < 1:
+            raise ValueError("parts must be positive integers: %r"
+                             % (tuple(parts),))
         if i and parts[i - 1] < row:
-            raise ValueError("parts must be weakly decreasing: %r" % (parts,))
+            raise ValueError("parts must be weakly decreasing: %r"
+                             % (tuple(parts),))
+
+
+def validate_partition(parts):
+    """The parts as a tuple, checked by _require_partition."""
+    parts = tuple(parts)
+    _require_partition(parts)
     return parts
 
 
@@ -196,9 +211,8 @@ def validate_partition(parts):
 
 def syt_count_of(parts):
     """Number of standard Young tableaux: n! divided by the hook product."""
-    n = sum(parts)
     ph = prod(hooks_of(parts))
-    f, rem = divmod(factorial(n), ph)
+    f, rem = divmod(factorial(sum(parts)), ph)
     if rem:
         raise ArithmeticError("hook product must divide n!")
     return f
@@ -217,11 +231,11 @@ def hook_beta_poly_of(parts):
 def hook_eval_product(parts, beta):
     """prod over cells of (1 - beta/h^2) at an exact rational beta."""
     _require_exact(beta, "beta")
-    beta = Fraction(beta)
+    hooks = hooks_of(parts)
     p, q = beta.numerator, beta.denominator
     num = 1
     den = 1
-    for h in hooks_of(parts):
+    for h in hooks:
         h2 = h * h
         num *= q * h2 - p
         den *= h2
@@ -349,7 +363,7 @@ def _unpack_hook_sum(packed, n, B):
     return BetaPoly(coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _hook_sums_poly(N):
     """The symbolic sweep of size N as a tuple of (immutable) BetaPolys.
 
@@ -371,16 +385,20 @@ def hook_beta_sums_poly(N):
 def hook_beta_sums(N, beta):
     """[sum over partitions of n of prod(1 - beta/h^2) for n = 0..N] at an
     exact rational beta: the symbolic sums of the sweep, evaluated."""
+    _require_exact(beta, "beta")
     return [poly.eval(beta) for poly in _hook_sums_poly(N)]
 
 
 def hook_beta_sum(n, beta):
     """sum over partitions of n of prod(1 - beta/h^2), exactly."""
+    _require_size(n, "n")
+    _require_exact(beta, "beta")
     return _hook_sums_poly(n)[n].eval(beta)
 
 
 def hook_beta_sum_poly(n):
     """sum over partitions of n of prod(1 - beta/h^2), as a BetaPoly."""
+    _require_size(n, "n")
     return _hook_sums_poly(n)[n]
 
 
@@ -404,7 +422,7 @@ def _cell_sum_powers(N, w, power):
     return sums
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _hook_censuses(N):
     """hook_count_census(n)[1:] for n = 0..N: slot h - 1 of B bits counts
     the cells of hook h, at most the n p(n) cells of size n."""
@@ -434,7 +452,7 @@ def hook_power_moments(N, alpha):
     return [Fraction(sum(map(mul, census, w)), d) for census in _hook_censuses(N)]
 
 
-@lru_cache(maxsize=None, typed=True)  # True must miss the entry of 1
+@lru_cache(maxsize=None, typed=True)
 def _hook_moments2(N, alpha):
     w, d = _power_weights(N, alpha)
     return tuple(Fraction(s, d * d) for s in _cell_sum_powers(N, w, 2))

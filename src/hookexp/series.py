@@ -37,7 +37,8 @@ _ONE = Fraction(1)
 
 
 class Series:
-    """Exact truncated power series; immutable in practice."""
+    """Exact truncated power series; immutable in practice.  Each
+    coefficient is an int, a Fraction or a BetaPoly (_require_exact)."""
 
     __slots__ = ("coeffs",)
 
@@ -45,6 +46,8 @@ class Series:
         cs = list(coeffs)
         if not cs:
             raise ValueError("a series needs at least the constant term")
+        for c in cs:
+            _require_exact(c, "coeffs entry", beta_poly=True)
         self.coeffs = cs
 
     @classmethod
@@ -120,7 +123,7 @@ class Series:
         return Series([self.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, BetaPoly)):
+        if type(other) in (int, Fraction, BetaPoly):
             return Series([c * other for c in self.coeffs])
         if not isinstance(other, Series):
             return NotImplemented
@@ -255,9 +258,7 @@ def log_euler_sum(order):
 def euler_power(s, order):
     """prod_{m>=1} (1 - x^m)^s via exp/log, for an exact rational s or a
     BetaPoly s such as BetaPoly.beta() (then a Series of BetaPolys)."""
-    _require_exact(s, "s")
-    if not isinstance(s, BetaPoly):
-        s = Fraction(s)
+    _require_exact(s, "s", beta_poly=True)
     lg = log_euler_sum(order)
     return Series([-s * c for c in lg.coeffs]).exp()
 
@@ -277,7 +278,6 @@ def euler_power_recurrence(s, order):
     """
     _require_exact(s, "s")
     _require_size(order, "order")
-    s = Fraction(s)
     p, q = s.numerator, s.denominator
     # term k of the sum is (u - n v) B_{n-k}
     terms = [(k, (p + q) * k * fk * q ** (2 * k - 1), fk * q ** (2 * k))
@@ -338,9 +338,8 @@ def euler_product_direct(s, order, step=1):
     (1 - x^d) is multiplied in (or divided out, for negative s) directly on
     an integer coefficient array.
     """
+    _require_int(s, "s")
     _require_size(order, "order")
-    if not isinstance(s, int) or isinstance(s, bool):
-        raise ValueError("direct product route needs an integer exponent")
     arr = [0] * (order + 1)
     arr[0] = 1
     for d in range(step, order + 1, step):

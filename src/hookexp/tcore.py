@@ -18,7 +18,8 @@ first-column hooks.  Weight and hook products are polynomial in the
 codings: see core_weight_from_v / core_product_from_v.  The coding search
 _v_codings walks the V-codings of one weight directly, as the weight is
 sum(v^2)/(2t) - (t^2 - 1)/24, and hands each to a reader.
-The public codings check their input; _u_of/_v_of/_n_of code a known t-core.
+The public codings check their input, every t and coding entry by the
+number rule of exactnum; _u_of/_v_of/_n_of code a known t-core.
 """
 
 from collections import namedtuple
@@ -27,7 +28,7 @@ from functools import lru_cache
 from math import isqrt
 from operator import add, sub
 
-from .exactnum import _require_size, diff_product, superfactorial
+from .exactnum import _require_int, _require_size, diff_product, superfactorial
 from .partition import (
     _top_row_walk,
     conjugate_of,
@@ -42,14 +43,17 @@ def _invariant(ok, what):
         raise ArithmeticError("t-core coding invariant failed: " + what)
 
 
+_CODING_T = "codings need an odd t >= 3, got {!r}"
+
+
 def _require_coding_t(t):
-    if not isinstance(t, int) or t < 3 or t % 2 == 0:
-        raise ValueError("codings need an odd t >= 3, got %r" % (t,))
+    _require_int(t, "t", 3, _CODING_T)
+    if not t % 2:
+        raise ValueError(_CODING_T.format(t))
 
 
 def _require_t(t):
-    if not isinstance(t, int) or t < 1:
-        raise ValueError("t must be a positive integer")
+    _require_int(t, "t", 1, "t must be a positive integer")
 
 
 def is_t_core(parts, t):
@@ -75,6 +79,8 @@ def validate_t_compact(elements, t):
     positive element e.
     """
     elems = set(elements)
+    for e in elems:
+        _require_int(e, "elements entry")
     negatives = {e for e in elems if e <= 0}
     if negatives != set(range(-t, 0)):
         raise ValueError("non-positive elements must be exactly -1..-t")
@@ -214,12 +220,16 @@ def n_from_v(vvec, t):
 
 def _validate_n(nvec, t):
     _require_coding_t(t)
+    for m in nvec:
+        _require_int(m, "nvec entry")
     if len(nvec) != t or sum(nvec) != 0:
         raise ValueError("N-coding must have t entries summing to zero")
 
 
 def _validate_v(vvec, t):
     _require_coding_t(t)
+    for v in vvec:
+        _require_int(v, "vvec entry")
     if len(vvec) != t or sum(vvec) != 0:
         raise ValueError("V-coding must have t entries summing to zero")
     for i, v in enumerate(vvec):
@@ -287,7 +297,7 @@ def core_product_from_v(vvec, t):
 # ---------------------------------------------------------------------------
 # enumeration
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def t_cores_upto(N, t):
     """(the t-cores of n, reverse-lexicographic, for n = 0..N), any integer
     t >= 1, as tuples, from one cached walk.

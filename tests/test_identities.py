@@ -198,6 +198,23 @@ def test_verify_all_worker_count_does_not_change_results():
     assert serial == parallel
 
 
+def test_verify_all_refuses_a_bad_budget_or_worker_count_before_any_check(
+        monkeypatch):
+    def refuse(task):
+        raise AssertionError("no check may run")
+    monkeypatch.setattr(identities, "_verify_task", refuse)
+    for kwargs, message in (
+            ({"order_budget": 2.5}, "order_budget must be an integer, got 2.5"),
+            ({"order_budget": True}, "order_budget must be an integer, got True"),
+            ({"order_budget": "4"}, "order_budget must be an integer, got '4'"),
+            ({"workers": True}, "workers must be an integer, got True"),
+            ({"workers": 2.0}, "workers must be an integer, got 2.0"),
+            ({"workers": 0}, "workers must be >= 1")):
+        with pytest.raises(ValueError) as err:
+            verify_all(**kwargs)
+        assert str(err.value) == message
+
+
 def test_injected_failure_is_reported_with_location(monkeypatch):
     # perturb one side of a check and make sure the harness notices and
     # pinpoints the smallest failing coefficient

@@ -163,7 +163,7 @@ def _validate_by_loop(parts):
     # the part-by-part check with its messages, as an oracle
     parts = tuple(parts)
     for i, row in enumerate(parts):
-        if not isinstance(row, int) or row < 1:
+        if type(row) is not int or row < 1:
             raise ValueError("parts must be positive integers: %r" % (parts,))
         if i and parts[i - 1] < row:
             raise ValueError("parts must be weakly decreasing: %r" % (parts,))
@@ -177,8 +177,8 @@ def _outcome(fn, parts):
         return "error", str(exc)
 
 
-_PART = st.one_of(st.integers(-3, 7), st.integers(-3, 7),
-                  st.just(2.0), st.just("2"), st.just(None))
+_PART = st.one_of(st.integers(-3, 7), st.integers(-3, 7), st.just(2.0),
+                  st.just("2"), st.just(None), st.just(True))
 
 
 @settings(max_examples=300, deadline=None)
@@ -195,7 +195,9 @@ def test_validate_partition_messages_on_known_bad_tuples():
         (2, 1.0): "parts must be positive integers: (2, 1.0)",
         (3, 4, 0): "parts must be weakly decreasing: (3, 4, 0)",
     }
-    for bad, message in cases.items():
+    # (2, True) equals the key (2, 1.0), so it is listed apart
+    for bad, message in [*cases.items(),
+                         ((2, True), "parts must be positive integers: (2, True)")]:
         with pytest.raises(ValueError) as info:
             validate_partition(bad)
         assert str(info.value) == message
@@ -253,7 +255,8 @@ def test_staircase_products_at_beta_4():
         with pytest.raises(ValueError, match="^beta must be an int or a "
                            "Fraction, got %r$" % (bad,)):
             hook_eval_product((2, 1), bad)
-        with pytest.raises(ValueError, match="^point must be"):
+        with pytest.raises(ValueError, match="^beta must be an int or a "
+                           "Fraction, got %r$" % (bad,)):
             hook_beta_sums(3, bad)
 
 
@@ -609,3 +612,39 @@ def test_b_stat():
     # sum of (i-1) * lambda_i
     assert b_stat_of((4, 3, 2, 1)) == 0 * 4 + 1 * 3 + 2 * 2 + 3 * 1
     assert b_stat_of(()) == 0
+
+
+PER_PARTITION = {
+    "hooks_of": hooks_of,
+    "syt_count_of": syt_count_of,
+    "hook_beta_poly_of": hook_beta_poly_of,
+    "hook_eval_product": lambda parts: hook_eval_product(parts, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PER_PARTITION))
+def test_per_partition_functions_refuse_a_bad_partition(name):
+    fn = PER_PARTITION[name]
+    for bad, message in (
+            ((1, 3), "parts must be weakly decreasing: (1, 3)"),
+            ([1, 3], "parts must be weakly decreasing: (1, 3)"),
+            ((2, 0), "parts must be positive integers: (2, 0)"),
+            ((2, True), "parts must be positive integers: (2, True)"),
+            ((2.0, 1), "parts must be positive integers: (2.0, 1)")):
+        with pytest.raises(ValueError) as err:
+            fn(bad)
+        assert str(err.value) == message, name
+
+
+@pytest.mark.parametrize("name", sorted(PER_PARTITION))
+def test_per_partition_functions_check_the_parts_once(monkeypatch, name):
+    import hookexp.partition as part
+    calls = []
+    check = part._require_partition
+
+    def counting(parts):
+        calls.append(parts)
+        return check(parts)
+    monkeypatch.setattr(part, "_require_partition", counting)
+    PER_PARTITION[name]((3, 1))
+    assert calls == [(3, 1)], name

@@ -450,7 +450,7 @@ INEXACT_EXPONENT = {
     "divisor_power_gf": (lambda alpha: divisor_power_gf(alpha, 3),
                          "alpha must be an integer, got %r"),
     "euler_product_direct": (lambda s: euler_product_direct(s, 3),
-                             "direct product route needs an integer exponent"),
+                             "s must be an integer, got %r"),
 }
 
 
