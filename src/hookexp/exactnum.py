@@ -6,10 +6,11 @@ canonical reduced form with positive denominator by the stdlib), and symbolic
 coefficients live in `BetaPoly`, a dense univariate polynomial over the
 rationals.  No floats anywhere.
 
-The number rule of every public boundary lives here, in three helpers that
-only raise (a ValueError that names the parameter):
+The number rule of every public boundary lives here, in helpers that only
+raise (a ValueError that names the parameter):
 
- * `_require_int`: an int, never a bool (optionally at least some low);
+ * `_require_int`: an int, never a bool (optionally at least some low),
+   and `_require_ints`, the same for every entry of a sequence;
  * `_require_size`: an int >= 0, for every size, order and count;
  * `_require_exact`: an int or a Fraction, never a bool, a float or a str
    (a BetaPoly too, where a formal value is meant).
@@ -45,6 +46,11 @@ def parse_rational(text):
         raise ValueError("zero denominator: %r" % (text,)) from None
 
 
+_INT = {int}
+_FRACTION = {Fraction}
+_EXACT = (int, Fraction)
+
+
 def _require_int(value, name, low=None, message=None):
     """Raise a ValueError unless value is an int (a bool is not) and, given
     low, at least low: "<name> must be an integer, got <value>" or
@@ -58,12 +64,16 @@ def _require_int(value, name, low=None, message=None):
                          "%s must be >= %d" % (name, low))
 
 
+def _require_ints(values, name):
+    """_require_int on every entry of values, in one scan when all pass."""
+    if not set(map(type, values)) <= _INT:
+        for value in values:
+            _require_int(value, name)
+
+
 def _require_size(value, name):
     """Raise unless value is an int >= 0: a size, an order or a count."""
     _require_int(value, name, 0)
-
-
-_EXACT = (int, Fraction)
 
 
 def _require_exact(value, name, beta_poly=False):
@@ -130,12 +140,11 @@ class BetaPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = []
-        for c in coeffs:
-            if type(c) is not Fraction:
+        cs = list(coeffs)
+        if not set(map(type, cs)) <= _FRACTION:
+            for c in cs:
                 _require_exact(c, "coeffs entry")
-                c = Fraction(c)
-            cs.append(c)
+            cs = [c if type(c) is Fraction else Fraction(c) for c in cs]
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

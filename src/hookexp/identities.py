@@ -32,6 +32,7 @@ from types import SimpleNamespace
 from .exactnum import (
     BetaPoly,
     _require_int,
+    _require_ints,
     diff_product,
     roots_poly,
     serialize_scalar,
@@ -676,9 +677,12 @@ def verify(check_id, params=None):
         many = isinstance(merged[key], tuple)
         items = tuple(value) if many and isinstance(value, (tuple, list)) \
             else (value,)
-        if not all(type(v) is int for v in items):  # a bool is refused too
+        try:
+            _require_ints(items, key)
+        except ValueError:
             raise ValueError("parameter %r for %r must be %s, got %r"
-                             % (key, check_id, "ints" if many else "an int", value))
+                             % (key, check_id, "ints" if many else "an int",
+                                value)) from None
         if many:
             if not items:
                 raise ValueError("parameter %r for %r must not be empty"

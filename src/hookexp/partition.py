@@ -369,8 +369,9 @@ def _hook_sums_poly(N):
 
     The sweep carries P = prod(h^2 + X), X = -beta, as one integer at
     X = 2^B (Kronecker substitution), so each cell costs h^2 P + (P << B).
+    The public callers check N first, ahead of factorial(N) in
+    _packing_bits.
     """
-    _require_size(N, "N")  # ahead of factorial(N) in _packing_bits
     B = _packing_bits(N)
     sums = _hook_sweep(N, lambda P, h: h * h * P + (P << B))
     return tuple(_unpack_hook_sum(s, n, B) for n, s in enumerate(sums))
@@ -379,12 +380,14 @@ def _hook_sums_poly(N):
 def hook_beta_sums_poly(N):
     """[sum over partitions of n of prod(1 - beta/h^2) for n = 0..N], each
     a BetaPoly, from one cached sweep."""
+    _require_size(N, "N")
     return list(_hook_sums_poly(N))
 
 
 def hook_beta_sums(N, beta):
     """[sum over partitions of n of prod(1 - beta/h^2) for n = 0..N] at an
     exact rational beta: the symbolic sums of the sweep, evaluated."""
+    _require_size(N, "N")
     _require_exact(beta, "beta")
     return [poly.eval(beta) for poly in _hook_sums_poly(N)]
 

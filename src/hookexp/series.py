@@ -34,6 +34,7 @@ from .tcore import _require_coding_t, _v_codings, core_product_from_v
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_COEFF_TYPES = {int, Fraction, BetaPoly}
 
 
 class Series:
@@ -46,8 +47,9 @@ class Series:
         cs = list(coeffs)
         if not cs:
             raise ValueError("a series needs at least the constant term")
-        for c in cs:
-            _require_exact(c, "coeffs entry", beta_poly=True)
+        if not set(map(type, cs)) <= _COEFF_TYPES:
+            for c in cs:
+                _require_exact(c, "coeffs entry", beta_poly=True)
         self.coeffs = cs
 
     @classmethod

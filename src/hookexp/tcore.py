@@ -28,7 +28,13 @@ from functools import lru_cache
 from math import isqrt
 from operator import add, sub
 
-from .exactnum import _require_int, _require_size, diff_product, superfactorial
+from .exactnum import (
+    _require_int,
+    _require_ints,
+    _require_size,
+    diff_product,
+    superfactorial,
+)
 from .partition import (
     _top_row_walk,
     conjugate_of,
@@ -79,8 +85,7 @@ def validate_t_compact(elements, t):
     positive element e.
     """
     elems = set(elements)
-    for e in elems:
-        _require_int(e, "elements entry")
+    _require_ints(elems, "elements entry")
     negatives = {e for e in elems if e <= 0}
     if negatives != set(range(-t, 0)):
         raise ValueError("non-positive elements must be exactly -1..-t")
@@ -220,16 +225,14 @@ def n_from_v(vvec, t):
 
 def _validate_n(nvec, t):
     _require_coding_t(t)
-    for m in nvec:
-        _require_int(m, "nvec entry")
+    _require_ints(nvec, "nvec entry")
     if len(nvec) != t or sum(nvec) != 0:
         raise ValueError("N-coding must have t entries summing to zero")
 
 
 def _validate_v(vvec, t):
     _require_coding_t(t)
-    for v in vvec:
-        _require_int(v, "vvec entry")
+    _require_ints(vvec, "vvec entry")
     if len(vvec) != t or sum(vvec) != 0:
         raise ValueError("V-coding must have t entries summing to zero")
     for i, v in enumerate(vvec):
