@@ -154,6 +154,7 @@ class BetaPoly:
 
     @classmethod
     def constant(cls, c):
+        _require_exact(c, "c")
         return cls((c,))
 
     @classmethod

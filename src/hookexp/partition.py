@@ -436,6 +436,7 @@ def _hook_censuses(N):
 
 def hook_count_census(n):
     """Int tuple C: C[h] cells of hook length h over the partitions of n."""
+    _require_size(n, "n")
     return (0,) + _hook_censuses(n)[n]
 
 

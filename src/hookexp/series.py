@@ -100,12 +100,14 @@ class Series:
         return "Series([%s%s]; order=%d)" % (head, tail, self.order)
 
     def truncate(self, order):
+        _require_size(order, "order")
         if order >= self.order:
             return self
         return Series(self.coeffs[: order + 1])
 
     def shift(self, k):
         """Multiply by x^k (order grows by k)."""
+        _require_size(k, "k")
         zero, _ = self._zero_one()
         return Series([zero] * k + self.coeffs)
 
@@ -131,25 +133,15 @@ class Series:
             return NotImplemented
         n = min(self.order, other.order)
         a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
-        sa, sb = self._ints(a), self._ints(b)
-        if sa and sb:
-            # rational coefficients: one int convolution over da * db, and
-            # an all-int product stays int
-            (A, da), (B, db) = sa, sb
-            B = B[::-1]
-            out = [sum(map(mul, A, B[n - m:])) for m in range(n + 1)]
-            if Fraction in set(map(type, a + b)):
-                out = [Fraction(c, da * db) for c in out]
-            return Series(out)
-        zero = a[0] * 0
-        out = [zero] * (n + 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j in range(n + 1 - i):
-                cb = b[j]
-                if cb:
-                    out[i + j] += ca * cb
+        kinds = set(map(type, a + b))
+        rational = Fraction in kinds and kinds <= {int, Fraction}
+        if rational:  # one int convolution over da * db
+            (a, da), (b, db) = self._ints(a), self._ints(b)
+        # an all-int product stays int, other coefficients go through as is
+        zero, b = a[0] * 0, b[::-1]
+        out = [sum(map(mul, a, b[n - m:]), zero) for m in range(n + 1)]
+        if rational:
+            out = [Fraction(c, da * db) for c in out]
         return Series(out)
 
     __rmul__ = __mul__
@@ -188,9 +180,9 @@ class Series:
         zero, one = self._zero_one()
         if self.coeffs[0] != zero:
             raise ValueError("exp needs a zero constant term")
-        g = [k * fk for k, fk in enumerate(self.coeffs)]  # g[k] = k f_k
+        g = [k * fk for k, fk in enumerate(self.coeffs[1:], 1)]  # k f_k
         out = [one]
-        scaled = self._ints(g[1:])
+        scaled = self._ints(g)
         if scaled and scaled[1] == 1:
             gs, ints = scaled[0], [1]
             for n in range(1, self.order + 1):
@@ -200,27 +192,21 @@ class Series:
                 ints.append(c)
             out += map(Fraction, ints[1:])
         for n in range(len(out), self.order + 1):
-            acc = zero
-            for k in range(1, n + 1):
-                gk = g[k]
-                if gk:
-                    acc += gk * out[n - k]
-            out.append(acc * Fraction(1, n))
+            out.append(sum(map(mul, g, reversed(out)), zero) * Fraction(1, n))
         return Series(out)
 
     def log(self):
-        """log of a series with constant term one."""
+        """log of a series f with constant term one, by
+        n out[n] = n f_n - sum_{0<k<n} k out[k] f_{n - k}."""
         zero, one = self._zero_one()
-        if self.coeffs[0] != one:
+        f = self.coeffs
+        if f[0] != one:
             raise ValueError("log needs constant term 1")
-        out = [zero] * (self.order + 1)
+        out, kl = [zero], []  # kl[k - 1] = k out[k]
         for n in range(1, self.order + 1):
-            acc = zero
-            for k in range(1, n):
-                fk = out[k]
-                if fk:
-                    acc += (k * fk) * self.coeffs[n - k]
-            out[n] = self.coeffs[n] - acc * Fraction(1, n)
+            acc = sum(map(mul, kl, reversed(f[1:n])), zero)
+            out.append(f[n] - acc * Fraction(1, n))
+            kl.append(n * out[n])
         return Series(out)
 
     def compose(self, inner):

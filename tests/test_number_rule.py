@@ -160,6 +160,18 @@ MESSAGES = [
     (lambda: hookexp.BetaPoly.beta() ** True,
      "BetaPoly powers must be non-negative integers"),
     (lambda: v_from_n((0, 0.0, 0), 3), "nvec entry must be an integer, got 0.0"),
+    (lambda: hookexp.Series([1, 2, 3]).shift(True),
+     "k must be an integer, got True"),
+    (lambda: hookexp.Series([1, 2, 3]).shift(-1), "k must be >= 0"),
+    (lambda: hookexp.Series([1, 2, 3]).shift(1.5),
+     "k must be an integer, got 1.5"),
+    (lambda: hookexp.Series([1, 2, 3]).truncate(True),
+     "order must be an integer, got True"),
+    (lambda: hookexp.Series([1, 2, 3]).truncate(1.5),
+     "order must be an integer, got 1.5"),
+    (lambda: hookexp.Series([1, 2, 3]).truncate(-1), "order must be >= 0"),
+    (lambda: hookexp.BetaPoly.constant(0.5),
+     "c must be an int or a Fraction, got 0.5"),
 ]
 
 

@@ -274,15 +274,15 @@ def test_hook_sum_vanishes_at_beta_2_off_pentagonal():
     assert hook_beta_sum(7, 2) == 1
 
 
-# Per-partition hook sums over hook_lists(n): the sweep-free oracles (the
-# library's per-n bodies before the sweep).
+# Per-partition hook sums over the hooks of each partition of n: the
+# sweep-free oracles (the library's per-n bodies before the sweep).
 
 def _oracle_hook_beta_sum(n, beta):
     beta = Fraction(beta)
     p, q = beta.numerator, beta.denominator
     fact = factorial(n)
     total = 0
-    for hooks in hook_lists(n):
+    for hooks in map(hooks_of, partition_tuples(n)):
         num = 1
         ph = 1
         for h in hooks:
@@ -296,7 +296,7 @@ def _oracle_hook_beta_sum(n, beta):
 def _oracle_hook_beta_sum_poly(n):
     fact = factorial(n)
     acc = [0] * (n + 1)
-    for hooks in hook_lists(n):
+    for hooks in map(hooks_of, partition_tuples(n)):
         poly = [1]  # prod(h^2 - beta), lowest degree first
         ph = 1
         for h in hooks:
@@ -438,11 +438,12 @@ def test_sweep_rejects_negative_sizes():
 
 
 def test_census_and_moments_reject_negative_sizes():
-    # the walk refuses N < 0 as the sweep does: no IndexError, no []
-    for call in (hook_count_census, hook_multiset_all,
-                 lambda n: hook_power_moments(n, -2),
-                 lambda n: hook_power_moments2(n, -2)):
-        with pytest.raises(ValueError, match="N must be >= 0"):
+    # each refuses a negative size by its own parameter's name, as the
+    # sweep does: no IndexError, no []
+    for call, name in ((hook_count_census, "n"), (hook_multiset_all, "n"),
+                       (lambda N: hook_power_moments(N, -2), "N"),
+                       (lambda N: hook_power_moments2(N, -2), "N")):
+        with pytest.raises(ValueError, match="^%s must be >= 0$" % name):
             call(-1)
 
 

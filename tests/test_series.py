@@ -232,6 +232,66 @@ def test_betapoly_series_take_the_generic_loops():
         assert at(ex) == _exp_loop(at(f))
 
 
+# The loops that Series.__mul__, exp and log ran on coefficients of any type
+# before each became one sum of products, each skipping every zero factor:
+# the oracles of the test below, over series that mix all three types.
+
+def _skip_zero_mul(a, b):
+    n = min(len(a), len(b)) - 1
+    out = [a[0] * 0] * (n + 1)
+    for i, ca in enumerate(a[: n + 1]):
+        if not ca:
+            continue
+        for j in range(n + 1 - i):
+            cb = b[j]
+            if cb:
+                out[i + j] += ca * cb
+    return out
+
+
+def _skip_zero_exp(f):
+    one = f[0] ** 0
+    out = [one]
+    for n in range(1, len(f)):
+        acc = one * 0
+        for k in range(1, n + 1):
+            gk = k * f[k]
+            if gk:
+                acc += gk * out[n - k]
+        out.append(acc * Fraction(1, n))
+    return out
+
+
+def _skip_zero_log(f):
+    zero = f[0] ** 0 * 0
+    out = [zero] * len(f)
+    for n in range(1, len(f)):
+        acc = zero
+        for k in range(1, n):
+            fk = out[k]
+            if fk:
+                acc += (k * fk) * f[n - k]
+        out[n] = f[n] - acc * Fraction(1, n)
+    return out
+
+
+mixed_coeffs = st.one_of(
+    rational_coeffs, st.sampled_from([0, Fraction(0), BetaPoly()]),
+    st.lists(rational_coeffs, max_size=3).map(BetaPoly))
+mixed_tails = st.lists(mixed_coeffs, max_size=7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(mixed_coeffs, min_size=1, max_size=8),
+       st.lists(mixed_coeffs, min_size=1, max_size=8),
+       st.sampled_from([0, Fraction(0), BetaPoly()]), mixed_tails,
+       st.sampled_from([1, Fraction(1), BetaPoly.constant(1)]), mixed_tails)
+def test_mixed_series_match_the_skip_zero_loops(a, b, z, f, one, g):
+    assert (Series(a) * Series(b)).coeffs == _skip_zero_mul(a, b)
+    assert Series([z] + f).exp().coeffs == _skip_zero_exp([z] + f)
+    assert Series([one] + g).log().coeffs == _skip_zero_log([one] + g)
+
+
 def test_reversion_by_iteration_runs_on_ints(monkeypatch):
     kinds = set()
     compose = Series.compose

@@ -140,7 +140,11 @@ def test_coding_translations_roundtrip():
 
 # the coding maps as plain residue loops, one each, to check the placements
 def _u_loop(parts, t):
-    best = T.max_by_residue(T._h_elements(parts, t), t)
+    best = {}  # the largest element of each residue class mod t
+    for e in T._h_elements(parts, t):
+        r = e % t
+        if r not in best or e > best[r]:
+            best[r] = e
     return tuple(best[i] for i in range(t))
 
 
