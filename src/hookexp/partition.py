@@ -106,7 +106,7 @@ _COUNT_TERMS = [_pentagonal_term(0)]  # the terms the table reached, and the nex
 
 def partition_count(n):
     """p(n) by Euler's recurrence p(m) = -sum c p(m - e) over the terms
-    (e, c) of _pentagonal_terms (no enumeration).
+    (e, c) of _pentagonal_term (no enumeration).
 
     The table grows bottom-up, so a large n needs no deep recursion, and
     each term is built once, when the table reaches its e.

@@ -53,16 +53,16 @@ class Series:
         self.coeffs = cs
 
     @classmethod
-    def zero(cls, order, one=_ONE):
+    def zero(cls, order):
         _require_size(order, "order")
-        return cls([one * 0] * (order + 1))
+        return cls([_ZERO] * (order + 1))
 
     @classmethod
-    def x(cls, order, one=_ONE):
+    def x(cls, order):
         _require_size(order, "order")
-        cs = [one * 0] * (order + 1)
+        cs = [_ZERO] * (order + 1)
         if order >= 1:
-            cs[1] = one
+            cs[1] = _ONE
         return cls(cs)
 
     @property
@@ -70,8 +70,8 @@ class Series:
         return len(self.coeffs) - 1
 
     def _zero_one(self):
-        one = self.coeffs[0] ** 0
-        return one * 0, one
+        zero = self.coeffs[0] * 0
+        return zero, zero + 1
 
     @staticmethod
     def _ints(cs):
@@ -181,7 +181,7 @@ class Series:
         if self.coeffs[0] != zero:
             raise ValueError("exp needs a zero constant term")
         g = [k * fk for k, fk in enumerate(self.coeffs[1:], 1)]  # k f_k
-        out = [one]
+        out = [one * _ONE]  # a Fraction for an int f, like every out[n]
         scaled = self._ints(g)
         if scaled and scaled[1] == 1:
             gs, ints = scaled[0], [1]
@@ -202,7 +202,7 @@ class Series:
         f = self.coeffs
         if f[0] != one:
             raise ValueError("log needs constant term 1")
-        out, kl = [zero], []  # kl[k - 1] = k out[k]
+        out, kl = [zero * _ONE], []  # kl[k - 1] = k out[k]
         for n in range(1, self.order + 1):
             acc = sum(map(mul, kl, reversed(f[1:n])), zero)
             out.append(f[n] - acc * Fraction(1, n))
@@ -481,7 +481,7 @@ def revert_euler(order, method="lagrange"):
         raise ValueError("method must be 'lagrange' or 'iterate'")
     # the coefficients are integers, so the iteration runs on ints
     pgf = Series([int(c) for c in partition_gf(order).coeffs])
-    y = Series.x(min(order, 1), one=1)  # right through x^1
+    y = Series([0, 1][: order + 1])  # right through x^1
     for r in range(2, order + 1):
         # y is right through x^(r-1), which fixes x * P(y) through x^r
         y = pgf.truncate(r - 1).compose(y).shift(1)

@@ -47,6 +47,9 @@ def test_series_basics():
     assert s.truncate(1) == Series([Fraction(1), Fraction(2)])
     assert (s - s) == Series.zero(2)
     assert s * 2 == s + s
+    for n in range(4):
+        for t in (Series.zero(n), Series.x(n)):
+            assert all(type(c) is Fraction for c in t.coeffs)
 
 
 def test_powers_and_scalar_products():
@@ -176,12 +179,17 @@ def test_products_match_the_fraction_loop(a, b):
 @given(st.lists(int_coeffs, max_size=14),
        st.lists(rational_coeffs, max_size=14))
 def test_exp_matches_the_fraction_loop(ks, fs):
-    # k f_k = a_k: the int lane, up to its first inexact division; and
-    # rationals, which mostly skip it
+    # k f_k = a_k: the int lane, up to its first inexact division; an int
+    # series; and rationals, which mostly skip it
     for f in ([Fraction(0)] + [Fraction(a, k) for k, a in enumerate(ks, 1)],
-              [Fraction(0)] + fs):
+              [0] + ks, [Fraction(0)] + fs):
         got = Series(f).exp().coeffs
         assert got == _exp_loop(f)
+        assert all(type(c) is Fraction for c in got)
+    # log of an int or Fraction series lies in the field of fractions too
+    for f in ([1] + ks, [Fraction(1)] + fs):
+        got = Series(f).log().coeffs
+        assert got == _skip_zero_log(f)
         assert all(type(c) is Fraction for c in got)
 
 
