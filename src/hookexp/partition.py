@@ -17,8 +17,9 @@ length t, the t-cores (`tcore`).  `hook_beta_poly_of` and
 sum it themselves.
 
 The public functions check their numbers by the rule of `exactnum` and a
-partition by `_require_partition`, once, at entry.  Every cache keyed by a
-number is typed, so 1.0 or True never reads the entry of 1.
+partition by `_require_partition`, once, at entry.  Every memo, p(n)'s
+table too, is made by `_memo`, keyed by typed arguments (1.0 or True never
+reads the entry of 1), and `_clear_memos()` forgets them all.
 """
 
 from collections import Counter
@@ -38,7 +39,24 @@ from .exactnum import (
 
 
 # ---------------------------------------------------------------------------
-# enumeration and counting
+# memos, enumeration and counting
+
+_MEMOS = []  # every memo of the package, in the order made
+
+
+def _memo(fn):
+    """fn memoized by its typed arguments, listed in _MEMOS; it is the lru
+    cache itself, whose cache_info() perfbench's tracer reads."""
+    memo = lru_cache(maxsize=None, typed=True)(fn)
+    _MEMOS.append(memo)
+    return memo
+
+
+def _clear_memos():
+    """Forget every memo of the package, p(n)'s table included."""
+    for memo in _MEMOS:
+        memo.cache_clear()
+
 
 def enumerate_partitions(n):
     """Yield the partitions of n as tuples, reverse-lexicographic (largest
@@ -80,7 +98,7 @@ def enumerate_partitions(n):
         yield tuple(x[:m])
 
 
-@lru_cache(maxsize=None, typed=True)
+@_memo
 def partition_tuples(n):
     """All partitions of n, in the order of enumerate_partitions, cached."""
     return tuple(enumerate_partitions(n))
@@ -100,8 +118,10 @@ def _pentagonal_terms(order):
                           map(_pentagonal_term, count())))
 
 
-_PARTITION_COUNTS = [1]  # p(0), p(1), ... as far as asked so far
-_COUNT_TERMS = [_pentagonal_term(0)]  # the terms the table reached, and the next
+@_memo
+def _count_table():
+    """partition_count's lists: p(0), p(1), ..., and the terms reached."""
+    return [1], [_pentagonal_term(0)]
 
 
 def partition_count(n):
@@ -114,7 +134,7 @@ def partition_count(n):
     _require_int(n, "n")
     if n < 0:
         return 0
-    table, terms = _PARTITION_COUNTS, _COUNT_TERMS
+    table, terms = _count_table()
     for m in range(len(table), n + 1):
         if terms[-1][0] <= m:  # e rises by at least 1: this e is m
             terms.append(_pentagonal_term(len(terms)))
@@ -153,15 +173,11 @@ def hooks_of(parts):
     return tuple(out)
 
 
-@lru_cache(maxsize=None, typed=True)
+@_memo
 def hook_lists(n):
     """Hook lengths of each partition of n as bytes, aligned index-by-index
     with partition_tuples(n).  No hook exceeds n, so n must be <= 255.
-
-    No sum over partitions reads it any more (they run on _top_row_walk).
-    It stays as the tests' per-partition oracle, and because perfbench's
-    tracer reads its cache_info().
-    """
+    Only tests and perfbench's tracer (its cache_info()) read it."""
     if n > 255:
         raise ValueError("hook_lists needs n <= 255, got %d" % n)
     return tuple(map(bytes, map(hooks_of, partition_tuples(n))))
@@ -329,9 +345,10 @@ def _packing_bits(N):
     """Bits per coefficient for sweep sums of size <= N packed at X = 2^B.
 
     prod(h^2 + X) has non-negative coefficients, each at most 2^n prod h^2,
-    so slot n's coefficients are at most p(n) 2^n n!^2: B - 2 bits hold them.
+    so slot n's coefficients are at most p(n) 2^n n!^2 <= 4^N N!^2, as each
+    partition of n >= 1 is a composition (p(n) <= 2^n): B - 2 bits hold them.
     """
-    return (partition_count(N) * 2 ** N * factorial(N) ** 2).bit_length() + 2
+    return (factorial(N) ** 2 << 2 * N).bit_length() + 2
 
 
 def _slots(packed, count, B):
@@ -363,7 +380,7 @@ def _unpack_hook_sum(packed, n, B):
     return BetaPoly(coeffs)
 
 
-@lru_cache(maxsize=None, typed=True)
+@_memo
 def _hook_sums_poly(N):
     """The symbolic sweep of size N as a tuple of (immutable) BetaPolys.
 
@@ -425,11 +442,12 @@ def _cell_sum_powers(N, w, power):
     return sums
 
 
-@lru_cache(maxsize=None, typed=True)
+@_memo
 def _hook_censuses(N):
     """hook_count_census(n)[1:] for n = 0..N: slot h - 1 of B bits counts
-    the cells of hook h, at most the n p(n) cells of size n."""
-    B = (N * partition_count(N)).bit_length()
+    the cells of hook h, at most the n p(n) <= N 2^N cells of size n (see
+    _packing_bits for p(n) <= 2^n)."""
+    B = (N << N).bit_length()
     packed = _cell_sum_powers(N, [1 << k * B for k in range(N)], 1)
     return tuple(tuple(_slots(s, n, B)) for n, s in enumerate(packed))
 
@@ -452,11 +470,12 @@ def _power_weights(n, alpha):
 def hook_power_moments(N, alpha):
     """[sum over partitions of n of sum over cells of h^alpha for
     n = 0..N] (integer alpha), from one cached census walk."""
+    _require_size(N, "N")
     w, d = _power_weights(N, alpha)
     return [Fraction(sum(map(mul, census, w)), d) for census in _hook_censuses(N)]
 
 
-@lru_cache(maxsize=None, typed=True)
+@_memo
 def _hook_moments2(N, alpha):
     w, d = _power_weights(N, alpha)
     return tuple(Fraction(s, d * d) for s in _cell_sum_powers(N, w, 2))

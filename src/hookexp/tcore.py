@@ -24,7 +24,6 @@ number rule of exactnum; _u_of/_v_of/_n_of code a known t-core.
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 from operator import add, sub
 
@@ -36,6 +35,7 @@ from .exactnum import (
     superfactorial,
 )
 from .partition import (
+    _memo,
     _top_row_walk,
     conjugate_of,
     first_column_hooks_of,
@@ -300,7 +300,7 @@ def core_product_from_v(vvec, t):
 # ---------------------------------------------------------------------------
 # enumeration
 
-@lru_cache(maxsize=None, typed=True)
+@_memo
 def t_cores_upto(N, t):
     """(the t-cores of n, reverse-lexicographic, for n = 0..N), any integer
     t >= 1, as tuples, from one cached walk.

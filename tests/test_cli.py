@@ -565,11 +565,11 @@ def test_the_partition_guard_stops_at_the_first_size_past_the_limit(
             (("cores", "--n", "60000", "--t", "5", "--method", "filter"), "--n"),
             (("verify", "--id", "main-identity", "--order", "60000"), "--order"),
             (("revert", "--order", "60000"), "--order")):
-        monkeypatch.setattr(partition, "_PARTITION_COUNTS", [1])
+        partition._clear_memos()
         code, out, err = run_cli(*argv)
         assert (code, out) == (2, ""), argv
         assert "%s 60000 has" % flag in err and "HOOKEXP_MAX_PARTITIONS" in err
-        assert len(partition._PARTITION_COUNTS) <= 62, argv
+        assert len(partition._count_table()[0]) <= 62, argv
 
 
 def test_refusals_hint_the_coding_search_only_where_it_runs(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from math import factorial, prod
 
@@ -198,6 +199,27 @@ def test_verify_all_worker_count_does_not_change_results():
     assert serial == parallel
 
 
+def test_reports_do_not_depend_on_the_order_or_the_memos():
+    # the 34 checks in shuffled orders in one process, from cleared memos
+    # and then warm, give the reports of the sorted 1-worker run
+    def dicts(reports):
+        out = {}
+        for report in reports:
+            d = report.to_dict()
+            d.pop("elapsed_ms")
+            out[report.id] = d
+        return out
+    want = dicts(verify_all(workers=1))
+    for cold in (True, False):
+        for seed in (1, 2, 3):
+            ids = sorted(REGISTRY)
+            random.Random(seed).shuffle(ids)
+            if cold:
+                partition._clear_memos()
+            got = dicts(verify(cid) for cid in ids)
+            assert got == want, (cold, seed)
+
+
 def test_verify_all_refuses_a_bad_budget_or_worker_count_before_any_check(
         monkeypatch):
     def refuse(task):
@@ -274,7 +296,7 @@ def test_moment_checks_read_one_sweep():
     # the sums of every m <= n come from the one cached sweep of size n
     from hookexp.partition import _hook_sums_poly
     for cid in ("marked-hook", "prop-6-11", "prop-6-12"):
-        _hook_sums_poly.cache_clear()
+        partition._clear_memos()
         report = verify(cid, {"n": 12})
         assert report.ok == (cid != "prop-6-12"), cid
         assert _hook_sums_poly.cache_info().currsize == 1, cid
@@ -443,13 +465,9 @@ def _walk_without(node):
 
 @pytest.fixture
 def cold_walk_caches():
-    def clear():
-        for cache in (partition._hook_sums_poly, partition._hook_censuses,
-                      partition._hook_moments2, tcore.t_cores_upto):
-            cache.cache_clear()
-    clear()
+    partition._clear_memos()
     yield
-    clear()  # no skewed value may outlive the test
+    partition._clear_memos()  # no skewed value may outlive the test
 
 
 # (check, params, node, first mismatch location) once the walk drops the

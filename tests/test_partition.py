@@ -107,14 +107,16 @@ def test_partition_count_builds_each_pentagonal_term_once(monkeypatch):
         raise AssertionError("partition_count must not rebuild the term list")
     monkeypatch.setattr(part, "_pentagonal_term", counted)
     monkeypatch.setattr(part, "_pentagonal_terms", refuse)
-    monkeypatch.setattr(part, "_PARTITION_COUNTS", [1])
-    monkeypatch.setattr(part, "_COUNT_TERMS", [term(0)])
+    part._clear_memos()
     assert [partition_count(n) for n in range(3001)] == want
-    # every term with e <= 3000 once, and the next one ahead
-    assert built == Counter(range(1, len(terms) + 1))
-    # a table reset on its own still reads only the terms it has reached
-    monkeypatch.setattr(part, "_PARTITION_COUNTS", [1])
+    # every term with e <= 3000 once (term 0 with the table's seed), and
+    # the next one ahead
+    assert built == Counter(range(len(terms) + 1))
+    # a cleared table builds its terms again, only as far as it reaches
+    built.clear()
+    part._clear_memos()
     assert partition_count(100) == want[100]
+    assert built == Counter(range(sum(e <= 100 for e, _ in terms) + 1))
 
 
 def test_conjugate():
@@ -363,7 +365,7 @@ def test_numeric_sweep_matches_oracle_and_symbolic_sweep(N, beta):
 
 def test_sweep_builds_no_partition_table(monkeypatch):
     import hookexp.partition as part
-    part._hook_sums_poly.cache_clear()  # so that the sweep runs here
+    part._clear_memos()  # so that the sweep runs here
 
     def refuse(*args):
         raise AssertionError("the sweep must not enumerate partitions")
@@ -437,6 +439,42 @@ def test_sweep_rejects_negative_sizes():
         hook_beta_sums_poly(-1)
 
 
+def test_cold_slot_widths_read_no_partition_count(monkeypatch):
+    import hookexp.partition as part
+
+    def refuse(*args):
+        raise AssertionError("a slot width must not read p(n)")
+    monkeypatch.setattr(part, "partition_count", refuse)
+    part._clear_memos()
+    assert part.hook_beta_sums_poly(12) == SWEEP_POLYS[:13]
+    assert hook_count_census(12) == tuple(
+        sum(hooks_of(p).count(h) for p in partition_tuples(12))
+        for h in range(13))
+
+
+def test_every_memo_is_made_and_cleared_in_one_place():
+    from pathlib import Path
+    import hookexp.partition as part
+    from hookexp import tcore
+    from hookexp.identities import verify_all
+    named = [(path.name, line.strip())
+             for path in sorted(Path(part.__file__).parent.glob("*.py"))
+             for line in path.read_text().splitlines()
+             if "lru_cache" in line or "functools" in line]
+    assert named == [
+        ("partition.py", "from functools import lru_cache"),
+        ("partition.py", "memo = lru_cache(maxsize=None, typed=True)(fn)")]
+    assert set(part._MEMOS) == {
+        part.partition_tuples, part._count_table, part.hook_lists,
+        part._hook_sums_poly, part._hook_censuses, part._hook_moments2,
+        tcore.t_cores_upto}
+    verify_all(workers=1)
+    assert len(part._count_table()[0]) > 1
+    part._clear_memos()
+    assert not any(memo.cache_info().currsize for memo in part._MEMOS)
+    assert part._count_table() == ([1], [part._pentagonal_term(0)])
+
+
 def test_census_and_moments_reject_negative_sizes():
     # each refuses a negative size by its own parameter's name, as the
     # sweep does: no IndexError, no []
@@ -449,7 +487,7 @@ def test_census_and_moments_reject_negative_sizes():
 
 def test_every_hook_sum_of_one_size_comes_from_one_sweep(monkeypatch):
     import hookexp.partition as part
-    part._hook_sums_poly.cache_clear()
+    part._clear_memos()
     sweeps = []
     sweep = part._hook_sweep
 
@@ -558,9 +596,9 @@ def test_census_dot_products_match_the_section_6_statistics():
 
 def test_power_moments_refuse_a_non_int_alpha_before_any_walk(monkeypatch):
     import hookexp.partition as part
+    part._clear_memos()  # no census is cached
     assert hook_power_moments2(6, 1) == [_stat_sum(m, lambda hooks: sum(
         hooks, Fraction(0)) ** 2) for m in range(7)]  # (6, 1) is cached
-    part._hook_censuses.cache_clear()
 
     def refuse(*args):
         raise AssertionError("alpha must be refused before the walk")
@@ -575,8 +613,7 @@ def test_power_moments_refuse_a_non_int_alpha_before_any_walk(monkeypatch):
 
 def test_census_and_moments_of_every_size_come_from_one_walk(monkeypatch):
     import hookexp.partition as part
-    part._hook_censuses.cache_clear()
-    part._hook_moments2.cache_clear()
+    part._clear_memos()
     walks = []
     walk = part._top_row_walk
 

@@ -383,8 +383,8 @@ def test_walk_listing_matches_an_is_t_core_scan():
 
 
 def test_walk_listing_reads_no_partition_table():
-    from hookexp.partition import hook_lists
-    T.t_cores_upto.cache_clear()
+    from hookexp.partition import _clear_memos, hook_lists
+    _clear_memos()
     before = partition_tuples.cache_info(), hook_lists.cache_info()
     assert len(t_cores_upto(40, 4)[40]) == 7  # [x^40] of the eta quotient
     assert (partition_tuples.cache_info(), hook_lists.cache_info()) == before
