@@ -484,6 +484,7 @@ def _hook_moments2(N, alpha):
 def hook_power_moments2(N, alpha):
     """[sum over partitions of n of (sum over cells of h^alpha)^2 for
     n = 0..N], from one cached walk."""
+    _require_size(N, "N")
     return list(_hook_moments2(N, alpha))
 
 

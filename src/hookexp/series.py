@@ -120,12 +120,6 @@ class Series:
         n = min(self.order, other.order)
         return Series([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
 
-    def __sub__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return Series([self.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
-
     def __mul__(self, other):
         if type(other) in (int, Fraction, BetaPoly):
             return Series([c * other for c in self.coeffs])

@@ -1,6 +1,7 @@
 """One number rule at the public boundary: every callable in hookexp.__all__
 refuses a float, a bool and a str where a number is meant, with a
-ValueError or TypeError that names the parameter, and never returns.
+ValueError or TypeError that names the parameter, and never returns.  So
+do the size-taking helpers that the registry calls (HELPERS).
 
 The parameters are read off each signature and matched by name, so a new
 public function whose parameter is in neither table below fails
@@ -14,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 import hookexp
+from hookexp import partition
 from hookexp.tcore import v_from_n
 
 # Names in __all__ that are not probed, and why.
@@ -121,6 +123,25 @@ def test_a_float_a_bool_and_a_str_are_refused_by_name(name, fn, param):
             _call(fn, kwargs)
         assert re.search(r"\b%s\b" % re.escape(param), str(err.value)), (
             name, param, bad, str(err.value))
+
+
+# Past __all__: the size-taking helpers that the registry calls, each with
+# its size parameter and the arguments after it.
+HELPERS = [
+    (partition.hook_power_moments, "N", (1,)),
+    (partition.hook_power_moments2, "N", (1,)),
+    (partition.hook_count_census, "n", ()),
+]
+
+
+@pytest.mark.parametrize("fn, param, rest", HELPERS,
+                         ids=[fn.__name__ for fn, _, _ in HELPERS])
+def test_the_registry_helpers_refuse_a_bad_size_by_name(fn, param, rest):
+    fn(3, *rest)
+    for bad in (0.5, 2.0, True, "2"):
+        with pytest.raises(ValueError) as err:
+            fn(bad, *rest)
+        assert str(err.value) == "%s must be an integer, got %r" % (param, bad)
 
 
 # The messages this rule introduced or changed, pinned word for word.
