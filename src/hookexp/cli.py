@@ -12,6 +12,10 @@ they refuse an n with more than HOOKEXP_MAX_PARTITIONS partitions
 to N; they refuse an N with more than that many in all (about N = 48).
 `verify --all --order B` is guarded at the largest size it runs, which
 budget_params caps at the largest default.
+
+Flags and both HOOKEXP_* variables go through the package's number rules
+(exactnum._require_int and _env_int, tcore's t rules), the messages naming
+the flag or the variable; so both variables take one syntax.
 """
 
 import argparse
@@ -21,7 +25,13 @@ import sys
 from fractions import Fraction
 from math import factorial
 
-from .exactnum import format_rational, parse_rational, serialize_scalar
+from .exactnum import (
+    _env_int,
+    _require_int,
+    format_rational,
+    parse_rational,
+    serialize_scalar,
+)
 from .identities import REGISTRY, budget_params, verify, verify_all
 from .partition import (
     enumerate_partitions,
@@ -41,6 +51,8 @@ from .tcore import (
     HSet,
     _h_elements,
     _n_of,
+    _require_coding_t,
+    _require_t,
     _u_of,
     _v_of,
     core_product_from_v,
@@ -51,8 +63,8 @@ from .tcore import (
 
 
 MAX_PARTITIONS_ENV = "HOOKEXP_MAX_PARTITIONS"
-DEFAULT_MAX_PARTITIONS = 10 ** 6
 EXIT_BROKEN_PIPE = 141
+_ODD_T = "--t must be an odd integer >= 3"  # codings, and registry t
 
 
 class UsageError(ValueError):
@@ -63,14 +75,7 @@ def _guard_partition_count(flag, n, up_to=False, t=None):
     """Refuse an n whose partitions (of n, or of every size up to n) are
     too many to enumerate; point a t-core listing at the coding search when
     it takes the t (none given, or an odd t >= 3)."""
-    raw = os.environ.get(MAX_PARTITIONS_ENV, "")
-    try:
-        limit = int(raw) if raw else DEFAULT_MAX_PARTITIONS
-        if limit < 0:
-            raise ValueError
-    except ValueError:
-        raise UsageError("%s must be a non-negative integer, got %r"
-                         % (MAX_PARTITIONS_ENV, raw)) from None
+    limit = _env_int(MAX_PARTITIONS_ENV, 10 ** 6, 0)
     # p is increasing, so the first size whose count (or running sum)
     # passes the limit decides, and no larger count is computed
     count = 0
@@ -87,12 +92,6 @@ def _guard_partition_count(flag, n, up_to=False, t=None):
                    "lower %s" % flag))
 
 
-def _require_odd_t(t):
-    """Codings, and every registry entry that takes t, need an odd t >= 3."""
-    if t < 3 or t % 2 == 0:
-        raise UsageError("--t must be an odd integer >= 3")
-
-
 def _as_int(x, what):
     x = Fraction(x)
     if x.denominator != 1:
@@ -101,10 +100,8 @@ def _as_int(x, what):
 
 
 def _cmd_expand(args):
-    if args.order < 0:
-        raise UsageError("--order must be non-negative")
-    if args.shift < 0:
-        raise UsageError("--shift must be non-negative")
+    _require_int(args.order, "--order", 0, "--order must be non-negative")
+    _require_int(args.shift, "--shift", 0, "--shift must be non-negative")
     formal = args.exponent.strip() == "beta"
     base = max(args.order - args.shift, 0)
     if formal:
@@ -153,8 +150,8 @@ def _cmd_verify(args):
             if getattr(args, flag) is not None:
                 raise UsageError("--all cannot be combined with --%s" % flag)
         if args.order is not None:
-            if args.order < 0:
-                raise UsageError("--order must be at least 0 with --all")
+            _require_int(args.order, "--order", 0,
+                         "--order must be at least 0 with --all")
             _guard_partition_count("--order", max(
                 budget_params(e, args.order)[key]
                 for e in REGISTRY.values() for key in e.minimal), up_to=True)
@@ -177,7 +174,7 @@ def _cmd_verify(args):
                 raise UsageError("--%s must be at least %d for %s"
                                  % (flag, floor, args.id))
             if flag == "t":
-                _require_odd_t(value)
+                _require_coding_t(value, _ODD_T)
             else:
                 _guard_partition_count("--" + flag, value, up_to=True)
             params[key] = value
@@ -210,11 +207,10 @@ def _cmd_list_identities(args):
 
 
 def _cmd_partitions(args):
-    if args.n < 0:
-        raise UsageError("--n must be non-negative")
+    _require_int(args.n, "--n", 0, "--n must be non-negative")
     t = args.t_core
-    if t is not None and t < 1:
-        raise UsageError("--t-core must be positive")
+    if t is not None:
+        _require_t(t, "--t-core must be positive")
     _guard_partition_count("--n", args.n, t=t)
     for parts in enumerate_partitions(args.n):  # streamed: constant memory
         if t is None or is_t_core(parts, t):
@@ -223,14 +219,12 @@ def _cmd_partitions(args):
 
 
 def _cmd_cores(args):
-    if args.n < 0:
-        raise UsageError("--n must be non-negative")
+    _require_int(args.n, "--n", 0, "--n must be non-negative")
     if args.method == "filter":
-        if args.t < 1:
-            raise UsageError("--t must be a positive integer")
+        _require_t(args.t, "--t must be a positive integer")
         args.t_core = args.t  # the same scan as `partitions --t-core`
         return _cmd_partitions(args)
-    _require_odd_t(args.t)
+    _require_coding_t(args.t, _ODD_T)
     for core in enumerate_t_cores(args.n, args.t, method="coding"):
         print(",".join(map(str, core)))
     return 0
@@ -244,7 +238,7 @@ def _cmd_coding(args):
         raise UsageError("--parts: %s" % exc) from None
     csv = ",".join(map(str, parts))
     t = args.t
-    _require_odd_t(t)
+    _require_coding_t(t, _ODD_T)
     if not is_t_core(parts, t):
         raise UsageError("%s is not a %d-core" % (csv or "()", t))
     hs = HSet(t, _h_elements(parts, t))  # parts are now a checked t-core
@@ -289,8 +283,7 @@ def _seq_values(name, count):
 
 
 def _cmd_seq(args):
-    if args.count < 1:
-        raise UsageError("--count must be positive")
+    _require_int(args.count, "--count", 1, "--count must be positive")
     vals = _seq_values(args.name, args.count)
     if args.format == "json":
         print(json.dumps(vals))
@@ -301,8 +294,7 @@ def _cmd_seq(args):
 
 
 def _cmd_revert(args):
-    if args.order < 0:
-        raise UsageError("--order must be non-negative")
+    _require_int(args.order, "--order", 0, "--order must be non-negative")
     if args.method == "lagrange":
         _guard_partition_count("--order", args.order, up_to=True)
     ser = revert_euler(args.order, method=args.method)

@@ -15,14 +15,17 @@ raise (a ValueError that names the parameter):
  * `_require_exact`: an int or a Fraction, never a bool, a float or a str
    (a BetaPoly too, where a formal value is meant).
 
-`parse_rational` is the one entry that takes text.
+`parse_rational` and `_env_int` (any HOOKEXP_* variable, one syntax) take
+text; `_ints` is the int lane of Series and BetaPoly arithmetic.
 """
 
 import json
+import os
 import re
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm, prod
+from operator import mul
 
 Rational = Fraction
 
@@ -74,6 +77,29 @@ def _require_ints(values, name):
 def _require_size(value, name):
     """Raise unless value is an int >= 0: a size, an order or a count."""
     _require_int(value, name, 0)
+
+
+def _env_int(name, default, low):
+    """The int in environment variable name: default when it is unset or
+    empty, else decimal digits (blanks around them allowed), at least low."""
+    raw = os.environ.get(name, "")
+    if raw and not (raw.strip().isdecimal() and int(raw) >= low):
+        raise ValueError("%s must be a %s integer, got %r"
+                         % (name, "positive" if low else "non-negative", raw))
+    return int(raw) if raw else default
+
+
+def _ints(cs):
+    """(ints, d) with cs[i] = ints[i] / d and d the least common
+    denominator, when every c is an int or a Fraction (cs itself and 1
+    when every c is an int); else None."""
+    kinds = set(map(type, cs))
+    if kinds <= _INT:
+        return cs, 1
+    if not kinds <= {int, Fraction}:
+        return None
+    d = lcm(*[c.denominator for c in cs])
+    return [c.numerator * (d // c.denominator) for c in cs], d
 
 
 def _require_exact(value, name, beta_poly=False):
@@ -222,22 +248,18 @@ class BetaPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        if type(other) in _EXACT:
-            if not other:
-                return BetaPoly()
+        if type(other) in _EXACT:  # a zero other leaves zeros, stripped
             return BetaPoly(tuple(c * other for c in self.coeffs))
         if not isinstance(other, BetaPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return BetaPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return BetaPoly(out)
+        if len(self.coeffs) < len(other.coeffs):
+            return other * self  # so the shorter b bounds every slice
+        # one int convolution over da * db, each sum reading b reversed
+        (a, da), (b, db) = _ints(self.coeffs), _ints(other.coeffs)
+        lb, b = len(b), b[::-1]
+        return BetaPoly([Fraction(sum(map(mul, a[max(m - lb + 1, 0):m + 1],
+                                          b[max(lb - 1 - m, 0):])), da * db)
+                         for m in range(len(a) + lb - 1)])
 
     __rmul__ = __mul__
 
@@ -257,10 +279,10 @@ class BetaPoly:
         if not self.coeffs:
             return Fraction(0)
         p, q = point.numerator, point.denominator
-        d = lcm(*(c.denominator for c in self.coeffs))
+        ints, d = _ints(self.coeffs)
         acc, qk = 0, 1  # qk = q^(degree - i) at coefficient i
-        for c in reversed(self.coeffs):
-            acc = acc * p + c.numerator * (d // c.denominator) * qk
+        for c in reversed(ints):
+            acc = acc * p + c * qk
             qk *= q
         return Fraction(acc, d * qk // q)
 

@@ -21,7 +21,6 @@ verify() runs one entry; verify_all() runs the whole registry at default
 """
 
 import json
-import os
 import time
 from collections import namedtuple
 from fractions import Fraction
@@ -31,6 +30,7 @@ from types import SimpleNamespace
 
 from .exactnum import (
     BetaPoly,
+    _env_int,
     _require_int,
     _require_ints,
     diff_product,
@@ -63,6 +63,7 @@ from .series import (
     eta8_double_sum,
     euler_power,
     euler_power_formal,
+    euler_power_recurrence,
     euler_product_direct,
     geometric_divide,
     jacobi_cube_series,
@@ -86,7 +87,6 @@ from .tcore import (
     is_t_core,
     t_cores_upto,
 )
-WORKERS_ENV = "HOOKEXP_WORKERS"
 
 
 class VerificationReport(namedtuple("VerificationReport", (
@@ -552,6 +552,8 @@ def _check_kostant_sign(k):
                       for parts in partition_tuples(kk)]
                 total = sum(ws, Fraction(0))
                 yield at + " (routes)", total, sign * euler_power(s, kk)[kk]
+                yield (at + " (recurrence)", total,
+                       sign * euler_power_recurrence(s, kk)[kk])
                 boundary = s == kk * kk - 1
                 if boundary and min(ws) < 0:
                     yield at + " certificate", min(ws), ">= 0"
@@ -730,14 +732,9 @@ def verify_all(order_budget=None, workers=None):
     """
     if order_budget is not None:
         _require_int(order_budget, "order_budget")
-    if workers is not None:
-        _require_int(workers, "workers", 1)
-    else:
-        raw = os.environ.get(WORKERS_ENV, "") or "1"
-        if not raw.strip().isdecimal() or int(raw) < 1:
-            raise ValueError("%s must be a positive integer, got %r"
-                             % (WORKERS_ENV, raw))
-        workers = int(raw)
+    if workers is None:
+        workers = _env_int("HOOKEXP_WORKERS", 1, 1)
+    _require_int(workers, "workers", 1)
     tasks = [(cid, budget_params(REGISTRY[cid], order_budget))
              for cid in sorted(REGISTRY)]
     if workers > 1:

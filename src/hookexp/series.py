@@ -13,11 +13,12 @@ reversion of x * (Euler product).
 """
 
 from fractions import Fraction
-from math import factorial, isqrt, lcm, perm
+from math import factorial, isqrt, perm
 from operator import mul
 
 from .exactnum import (
     BetaPoly,
+    _ints,
     _require_exact,
     _require_int,
     _require_size,
@@ -73,19 +74,6 @@ class Series:
         zero = self.coeffs[0] * 0
         return zero, zero + 1
 
-    @staticmethod
-    def _ints(cs):
-        """(ints, d) with cs[i] = ints[i] / d and d the least common
-        denominator, when every c is an int or a Fraction (cs itself and 1
-        when every c is an int); else None."""
-        kinds = set(map(type, cs))
-        if kinds <= {int}:
-            return cs, 1
-        if not kinds <= {int, Fraction}:
-            return None
-        d = lcm(*[c.denominator for c in cs])
-        return [c.numerator * (d // c.denominator) for c in cs], d
-
     def __getitem__(self, n):
         return self.coeffs[n]
 
@@ -130,7 +118,7 @@ class Series:
         kinds = set(map(type, a + b))
         rational = Fraction in kinds and kinds <= {int, Fraction}
         if rational:  # one int convolution over da * db
-            (a, da), (b, db) = self._ints(a), self._ints(b)
+            (a, da), (b, db) = _ints(a), _ints(b)
         # an all-int product stays int, other coefficients go through as is
         zero, b = a[0] * 0, b[::-1]
         out = [sum(map(mul, a, b[n - m:]), zero) for m in range(n + 1)]
@@ -153,7 +141,7 @@ class Series:
         has d G_n / c^(n+1) at x^n."""
         if not self.coeffs[0]:
             raise ValueError("constant term must be invertible")
-        scaled = self._ints(self.coeffs)
+        scaled = _ints(self.coeffs)
         if scaled is None:
             raise ValueError("the inverse needs int or Fraction coefficients")
         (c, *F), d = scaled
@@ -176,7 +164,7 @@ class Series:
             raise ValueError("exp needs a zero constant term")
         g = [k * fk for k, fk in enumerate(self.coeffs[1:], 1)]  # k f_k
         out = [one * _ONE]  # a Fraction for an int f, like every out[n]
-        scaled = self._ints(g)
+        scaled = _ints(g)
         if scaled and scaled[1] == 1:
             gs, ints = scaled[0], [1]
             for n in range(1, self.order + 1):

@@ -52,14 +52,14 @@ def _invariant(ok, what):
 _CODING_T = "codings need an odd t >= 3, got {!r}"
 
 
-def _require_coding_t(t):
-    _require_int(t, "t", 3, _CODING_T)
+def _require_coding_t(t, message=_CODING_T):
+    _require_int(t, "t", 3, message)
     if not t % 2:
-        raise ValueError(_CODING_T.format(t))
+        raise ValueError(message.format(t))
 
 
-def _require_t(t):
-    _require_int(t, "t", 1, "t must be a positive integer")
+def _require_t(t, message="t must be a positive integer"):
+    _require_int(t, "t", 1, message)
 
 
 def is_t_core(parts, t):

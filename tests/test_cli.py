@@ -205,10 +205,31 @@ def test_malformed_worker_count_is_a_usage_error(monkeypatch):
         assert "HOOKEXP_WORKERS" in err and repr(raw) in err
 
 
+# Both HOOKEXP_* variables read one syntax: unset or empty is the default,
+# else decimal digits with blanks around them allowed.
+ENV_VERDICTS = {"": True, " 3 ": True, "1_000": False, "+9": False,
+                "x": False, "-1": False, "1.5": False, "\u00b2": False}
+
+
+@pytest.mark.parametrize("name, argv, kind", (
+    ("HOOKEXP_MAX_PARTITIONS", ("partitions", "--n", "0"), "non-negative"),
+    ("HOOKEXP_WORKERS", ("verify", "--all", "--order", "0"), "positive")))
+def test_both_variables_take_one_syntax(monkeypatch, name, argv, kind):
+    monkeypatch.delenv("HOOKEXP_MAX_PARTITIONS", raising=False)
+    monkeypatch.delenv("HOOKEXP_WORKERS", raising=False)
+    for raw, accepted in ENV_VERDICTS.items():
+        monkeypatch.setenv(name, raw)
+        code, out, err = run_cli(*argv)
+        if accepted:
+            assert code in (0, 1) and err == "", raw
+        else:
+            assert (code, out, err) == (2, "", "error: %s must be a %s "
+                                        "integer, got %r\n" % (name, kind, raw))
+
+
 def test_verify_rejects_order_below_minimum():
-    code, out, err = run_cli("verify", "--all", "--order", "-3")
-    assert (code, out) == (2, "")
-    assert "--order" in err and "at least 0" in err
+    assert run_cli("verify", "--all", "--order", "-3") == (
+        2, "", "error: --order must be at least 0 with --all\n")
     for cid, order, floor in (("tau-5core", "0", 1), ("main-identity", "-5", 0)):
         code, out, err = run_cli("verify", "--id", cid, "--order", order)
         assert (code, out) == (2, "")
@@ -443,7 +464,9 @@ def test_seq_bfile_is_one_based_with_no_trailing_whitespace():
 
 
 def test_seq_rejects_bad_count():
-    assert run_cli("seq", "--name", "tau", "--count", "0")[0] == 2
+    for count in ("0", "-1"):
+        assert run_cli("seq", "--name", "tau", "--count", count) == (
+            2, "", "error: --count must be positive\n"), count
 
 
 def test_revert_plain():

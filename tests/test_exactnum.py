@@ -150,6 +150,43 @@ def test_betapoly_eval_matches_the_fraction_horner_loop(p, x):
     assert type(got) is Fraction
 
 
+def _skip_zero_mul(p, q):
+    """The nested loop BetaPoly.__mul__ ran before its int lane."""
+    if not isinstance(q, BetaPoly):
+        q = BetaPoly((q,))
+    a, b = p.coeffs, q.coeffs
+    if not a or not b:
+        return BetaPoly()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if not ca:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return BetaPoly(out)
+
+
+def _products_agree(p, q):
+    want = _skip_zero_mul(p, q)
+    for got in (p * q, q * p):
+        assert got == want and got.coeffs == want.coeffs
+        assert set(map(type, got.coeffs)) <= {Fraction}
+
+
+def test_betapoly_mul_matches_the_skip_zero_loop_at_the_edges():
+    zero, three = BetaPoly(), BetaPoly.constant(3)
+    mixed = BetaPoly([Fraction(1, 6), 0, Fraction(-3, 4), 2, Fraction(5, 9)])
+    for p in (zero, three, mixed, BetaPoly([0, 0, Fraction(1, 2)])):
+        for q in (zero, three, mixed, BetaPoly([Fraction(7, 10), Fraction(-1, 15)]),
+                  0, 5, Fraction(0), Fraction(-2, 3)):
+            _products_agree(p, q)
+
+
+@given(polys, st.one_of(polys, rationals, st.integers(-9, 9)))
+def test_betapoly_mul_matches_the_skip_zero_loop(p, q):
+    _products_agree(p, q)
+
+
 @given(polys, rationals, rationals, rationals)
 def test_subst_linear_agrees_with_eval(p, a, b, x):
     assert p.subst_linear(a, b).eval(x) == p.eval(a + b * x)

@@ -206,9 +206,11 @@ CAUGHT = {cid: set(kernels.split()) for cid, kernels in {
         "partition.hook_beta_poly_of partition.hooks_of "
         "series.euler_power_formal",
     "kostant-sign":
-        "partition.conjugate_of partition.hook_eval_product "
-        "partition.hooks_of series.Series._zero_one series.Series.exp "
-        "series.divisor_power_gf series.euler_power series.log_euler_sum",
+        "partition._pentagonal_term partition.conjugate_of "
+        "partition.hook_eval_product partition.hooks_of "
+        "series.Series._zero_one series.Series.exp series.divisor_power_gf "
+        "series.euler_power series.euler_power_recurrence "
+        "series.log_euler_sum",
     "lemma-5-5":
         "partition.conjugate_of partition.first_column_hooks_of tcore._u_of",
     "lemma-5-6":
