@@ -27,6 +27,7 @@ from math import factorial
 
 from .exactnum import (
     _env_int,
+    _invariant,
     _require_int,
     format_rational,
     parse_rational,
@@ -246,11 +247,10 @@ def _cmd_coding(args):
     v = _v_of(parts, t)
     nn = _n_of(parts, t)
     weight = core_weight_from_v(v, t)
-    if weight != sum(parts):
-        raise RuntimeError("weight formula disagrees with |partition|")
+    _invariant(weight == sum(parts), "weight formula disagrees with |partition|")
     prod = core_product_from_v(v, t)
-    if prod != hook_eval_product(parts, t * t):
-        raise RuntimeError("difference-product route disagrees with hooks")
+    _invariant(prod == hook_eval_product(parts, t * t),
+               "difference-product route disagrees with hooks")
     print("partition: %s" % csv)
     print("t: %d" % t)
     print("H-set: %s" % list(hs.sorted_desc()))

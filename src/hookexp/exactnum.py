@@ -14,6 +14,8 @@ raise (a ValueError that names the parameter):
  * `_require_size`: an int >= 0, for every size, order and count;
  * `_require_exact`: an int or a Fraction, never a bool, a float or a str
    (a BetaPoly too, where a formal value is meant).
+ * `_invariant`: a fact about the package's own results, else an
+   ArithmeticError "invariant failed: ...", also under -O (never a usage error).
 
 `parse_rational` and `_env_int` (any HOOKEXP_* variable, one syntax) take
 text; `_ints` is the int lane of Series and BetaPoly arithmetic.
@@ -77,6 +79,12 @@ def _require_ints(values, name):
 def _require_size(value, name):
     """Raise unless value is an int >= 0: a size, an order or a count."""
     _require_int(value, name, 0)
+
+
+def _invariant(ok, what, *args):
+    """Raise ArithmeticError("invariant failed: " + what % args) unless ok."""
+    if not ok:
+        raise ArithmeticError("invariant failed: " + what % args)
 
 
 def _env_int(name, default, low):

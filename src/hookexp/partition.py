@@ -31,6 +31,7 @@ from operator import add, mul
 
 from .exactnum import (
     BetaPoly,
+    _invariant,
     _require_exact,
     _require_int,
     _require_size,
@@ -229,8 +230,7 @@ def syt_count_of(parts):
     """Number of standard Young tableaux: n! divided by the hook product."""
     ph = prod(hooks_of(parts))
     f, rem = divmod(factorial(sum(parts)), ph)
-    if rem:
-        raise ArithmeticError("hook product must divide n!")
+    _invariant(not rem, "hook product must divide n!")
     return f
 
 
@@ -359,8 +359,7 @@ def _slots(packed, count, B):
     for _ in range(count):
         out.append(packed & mask)
         packed >>= B
-    if packed:
-        raise ArithmeticError("packed sum has bits past its %d slots" % count)
+    _invariant(not packed, "packed sum has bits past its %d slots", count)
     return out
 
 
@@ -373,9 +372,8 @@ def _unpack_hook_sum(packed, n, B):
     coeffs = []
     for k, slot in enumerate(_slots(packed, n + 1, B)):
         c, rem = divmod(slot, fact)
-        if rem:
-            raise ArithmeticError("packed hook sum of size %d: coefficient %d "
-                                  "is not divisible by %d!" % (n, k, n))
+        _invariant(not rem, "packed hook sum of size %d: coefficient %d "
+                   "is not divisible by %d!", n, k, n)
         coeffs.append(Fraction(-c if k % 2 else c, fact))
     return BetaPoly(coeffs)
 

@@ -19,6 +19,7 @@ from operator import mul
 from .exactnum import (
     BetaPoly,
     _ints,
+    _invariant,
     _require_exact,
     _require_int,
     _require_size,
@@ -260,8 +261,7 @@ def euler_power_recurrence(s, order):
                 break
             acc += (u - n * v) * B[n - k]
         b, r = divmod(acc, n)
-        if r:
-            raise ArithmeticError("inexact division by n at x^%d" % n)
+        _invariant(not r, "inexact division by n at x^%d", n)
         B.append(b)
     if q == 1:  # Fraction(b) builds faster than Fraction(b, 1)
         return Series(list(map(Fraction, B)))
@@ -355,8 +355,7 @@ def jacobi_cube_series(order):
 
 def _half(v):
     c, r = divmod(v, 2)
-    if r:
-        raise ArithmeticError("eta8 double-sum term %d is odd" % v)
+    _invariant(not r, "eta8 double-sum term %d is odd", v)
     return c
 
 
@@ -394,8 +393,7 @@ def macdonald_eta_power(t, order):
     out = []
     for n in range(order + 1):
         c = sum(_v_codings(n, t, lambda v: core_product_from_v(v, t)), _ZERO)
-        if c.denominator != 1:
-            raise ArithmeticError("eta-power coefficients must be integers")
+        _invariant(c.denominator == 1, "eta-power coefficients must be integers")
         out.append(c)
     return Series(out)
 
@@ -454,9 +452,8 @@ def revert_euler(order, method="lagrange"):
         sums = hook_beta_sums_poly(max(order - 1, 0))
         for n in range(1, order + 1):
             c = sums[n - 1].eval(1 - n) / n
-            if c.denominator != 1:
-                raise ArithmeticError(
-                    "reversion coefficient of x^%d is not an integer" % n)
+            _invariant(c.denominator == 1,
+                       "reversion coefficient of x^%d is not an integer", n)
             coeffs.append(c)
         return Series(coeffs)
     if method != "iterate":
@@ -467,6 +464,6 @@ def revert_euler(order, method="lagrange"):
     for r in range(2, order + 1):
         # y is right through x^(r-1), which fixes x * P(y) through x^r
         y = pgf.truncate(r - 1).compose(y).shift(1)
-    if pgf.compose(y).shift(1).truncate(order) != y:
-        raise RuntimeError("iteration did not settle")
+    _invariant(pgf.compose(y).shift(1).truncate(order) == y,
+               "iteration did not settle")
     return y.map(Fraction)

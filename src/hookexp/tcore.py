@@ -18,8 +18,8 @@ first-column hooks.  Weight and hook products are polynomial in the
 codings: see core_weight_from_v / core_product_from_v.  The coding search
 _v_codings walks the V-codings of one weight directly, as the weight is
 sum(v^2)/(2t) - (t^2 - 1)/24, and hands each to a reader.
-The public codings check their input, every t and coding entry by the
-number rule of exactnum; _u_of/_v_of/_n_of code a known t-core.
+The public codings check their input by exactnum's number rule and their
+results by exactnum._invariant; _u_of/_v_of/_n_of code a known t-core.
 """
 
 from collections import namedtuple
@@ -28,6 +28,7 @@ from math import isqrt
 from operator import add, sub
 
 from .exactnum import (
+    _invariant,
     _require_int,
     _require_ints,
     _require_size,
@@ -41,12 +42,6 @@ from .partition import (
     first_column_hooks_of,
     validate_partition,
 )
-
-
-def _invariant(ok, what):
-    """Raise unless a coding invariant holds (unlike assert, also under -O)."""
-    if not ok:
-        raise ArithmeticError("t-core coding invariant failed: " + what)
 
 
 _CODING_T = "codings need an odd t >= 3, got {!r}"
@@ -273,8 +268,7 @@ def core_weight_from_v(vvec, t):
     sq = sum(v * v for v in vvec)
     num = 12 * sq - t * (t * t - 1)
     q, r = divmod(num, 24 * t)
-    if r:
-        raise ValueError("weight formula did not produce an integer")
+    _invariant(r == 0, "weight formula did not produce an integer")
     return q
 
 
@@ -353,6 +347,8 @@ def _v_codings(n, t, read):
     (Cauchy-Schwarz), so v_i lies in [(S - r)/k, (S + r)/k] with
     r = sqrt((k - 1)(kR - S^2)), stepping through its residue class mod t.
     The last two coordinates solve v^2 + (S - v)^2 = R.
+    No bound goes negative: S = 0 < R at the root, and each v in the
+    interval keeps the next (k - 1)(kR - S^2), 2R - S^2 at last, >= 0.
     """
     last = t - 2
     out = []
@@ -361,8 +357,6 @@ def _v_codings(n, t, read):
     def descend(i, S, R):
         if i == last:
             disc = 2 * R - S * S
-            if disc < 0:
-                return
             d = isqrt(disc)
             if d * d != disc:
                 return
@@ -374,10 +368,7 @@ def _v_codings(n, t, read):
                     out.append(read(tuple(vec)))
             return
         k = t - i
-        D = (k - 1) * (k * R - S * S)
-        if D < 0:
-            return
-        r = isqrt(D)
+        r = isqrt((k - 1) * (k * R - S * S))
         lo = -((r - S) // k)
         for v in range(lo + (i - lo) % t, (S + r) // k + 1, t):
             vec[i] = v

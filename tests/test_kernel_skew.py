@@ -99,7 +99,7 @@ def _outcome(cid, wraps):
         report = verify(cid, budget_params(REGISTRY[cid], 8))
     except (TypeError, AttributeError):
         return None
-    except (ArithmeticError, ValueError, RuntimeError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         return type(exc).__name__
     finally:
         for host, name, kernel in undo:
