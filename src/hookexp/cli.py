@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from math import factorial
 
 from .exactnum import (
@@ -51,7 +50,6 @@ from .series import (
 from .tcore import (
     HSet,
     _h_elements,
-    _n_of,
     _require_coding_t,
     _require_t,
     _u_of,
@@ -60,6 +58,7 @@ from .tcore import (
     core_weight_from_v,
     enumerate_t_cores,
     is_t_core,
+    n_from_v,
 )
 
 
@@ -94,7 +93,6 @@ def _guard_partition_count(flag, n, up_to=False, t=None):
 
 
 def _as_int(x, what):
-    x = Fraction(x)
     if x.denominator != 1:
         raise UsageError("%s is not an integer: %s" % (what, x))
     return x.numerator
@@ -245,7 +243,7 @@ def _cmd_coding(args):
     hs = HSet(t, _h_elements(parts, t))  # parts are now a checked t-core
     u = _u_of(parts, t)
     v = _v_of(parts, t)
-    nn = _n_of(parts, t)
+    nn = n_from_v(v, t)
     weight = core_weight_from_v(v, t)
     _invariant(weight == sum(parts), "weight formula disagrees with |partition|")
     prod = core_product_from_v(v, t)
@@ -276,10 +274,9 @@ def _seq_values(name, count):
     if name == "a109085":
         ser = revert_euler(count, method="iterate")
         return [_as_int(ser[i], "a(%d)" % i) for i in range(1, count + 1)]
-    # pp: ordered pairs of partitions with total size n
-    pl = [partition_count(i) for i in range(count + 1)]
-    return [sum(pl[a] * pl[n - a] for a in range(n + 1))
-            for n in range(1, count + 1)]
+    # pp: ordered pairs of partitions of total size n, [x^n] prod(1-x^m)^-2
+    ser = euler_power_recurrence(-2, count)
+    return [_as_int(ser[i], "pp(%d)" % i) for i in range(1, count + 1)]
 
 
 def _cmd_seq(args):

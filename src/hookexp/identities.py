@@ -717,11 +717,6 @@ def budget_params(entry, order_budget):
     return params
 
 
-def _verify_task(task):
-    cid, params = task
-    return verify(cid, params)
-
-
 def verify_all(order_budget=None, workers=None):
     """Run every registry entry; reports ordered by id.
 
@@ -740,7 +735,5 @@ def verify_all(order_budget=None, workers=None):
     if workers > 1:
         from multiprocessing import Pool
         with Pool(workers) as pool:
-            reports = pool.map(_verify_task, tasks)
-    else:
-        reports = [_verify_task(t) for t in tasks]
-    return reports
+            return pool.starmap(verify, tasks)
+    return [verify(cid, params) for cid, params in tasks]

@@ -455,6 +455,17 @@ def test_seq_goldens():
         assert json.loads(out) == want, name
 
 
+def test_seq_pp_counts_ordered_pairs_of_partitions():
+    # the oracle: sum over a of p(a) p(n - a), from the partition table
+    from hookexp.partition import partition_count
+    code, out, _ = run_cli("seq", "--name", "pp", "--count", "60",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out) == [
+        sum(partition_count(a) * partition_count(n - a) for a in range(n + 1))
+        for n in range(1, 61)]
+
+
 def test_seq_bfile_is_one_based_with_no_trailing_whitespace():
     code, out, _ = run_cli("seq", "--name", "tau", "--count", "3")
     assert code == 0

@@ -222,9 +222,9 @@ def test_reports_do_not_depend_on_the_order_or_the_memos():
 
 def test_verify_all_refuses_a_bad_budget_or_worker_count_before_any_check(
         monkeypatch):
-    def refuse(task):
+    def refuse(check_id, params=None):
         raise AssertionError("no check may run")
-    monkeypatch.setattr(identities, "_verify_task", refuse)
+    monkeypatch.setattr(identities, "verify", refuse)
     for kwargs, message in (
             ({"order_budget": 2.5}, "order_budget must be an integer, got 2.5"),
             ({"order_budget": True}, "order_budget must be an integer, got True"),
