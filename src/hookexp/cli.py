@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
-(bad flags, malformed values, impossible or too costly requests), and 141
-(128 + SIGPIPE, as a process killed by the signal reports) when the reader
-of stdout closes it early.
+Exit codes: 0 on success, 1 when a verification fails, 2 on a refused
+request (a UsageError: bad flags, malformed values, impossible or too
+costly requests), and 141 (128 + SIGPIPE, as a process killed by the
+signal reports) when the reader of stdout closes it early.  Any other
+error is a fault in the program's own values: a traceback, exit 1.
 
 `partitions` and `cores --method filter` enumerate every partition of n;
 they refuse an n with more than HOOKEXP_MAX_PARTITIONS partitions
@@ -25,6 +26,7 @@ import sys
 from math import factorial
 
 from .exactnum import (
+    UsageError,
     _env_int,
     _invariant,
     _require_int,
@@ -67,10 +69,6 @@ EXIT_BROKEN_PIPE = 141
 _ODD_T = "--t must be an odd integer >= 3"  # codings, and registry t
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _guard_partition_count(flag, n, up_to=False, t=None):
     """Refuse an n whose partitions (of n, or of every size up to n) are
     too many to enumerate; point a t-core listing at the coding search when
@@ -90,12 +88,6 @@ def _guard_partition_count(flag, n, up_to=False, t=None):
                    "for t-cores with odd t >= 3 use `cores --method coding`"
                    if not up_to and (t is None or t >= 3 and t % 2) else
                    "lower %s" % flag))
-
-
-def _as_int(x, what):
-    if x.denominator != 1:
-        raise UsageError("%s is not an integer: %s" % (what, x))
-    return x.numerator
 
 
 def _cmd_expand(args):
@@ -127,10 +119,12 @@ def _cmd_expand(args):
     else:  # bfile: 1-based integer lines "n a(n)"
         if formal:
             raise UsageError("bfile output needs a numeric --exponent")
-        values = [_as_int(coeffs[n], "--format bfile: coefficient of x^%d" % n)
-                  for n in range(1, args.order + 1)]  # all checked first
-        for n, v in enumerate(values, 1):
-            print("%d %d" % (n, v))
+        for n, c in enumerate(coeffs[1:], 1):  # all checked first
+            if c.denominator != 1:
+                raise UsageError("--format bfile: coefficient of x^%d is not "
+                                 "an integer: %s" % (n, c))
+        for n, c in enumerate(coeffs[1:], 1):
+            print("%d %d" % (n, c.numerator))
     return 0
 
 
@@ -261,22 +255,21 @@ def _cmd_coding(args):
 
 
 def _seq_values(name, count):
-    if name == "tau":
-        ser = euler_power_recurrence(24, count - 1)
-        return [_as_int(ser[i], "tau(%d)" % (i + 1)) for i in range(count)]
-    if name == "a006128":
-        ser = partition_gf(count) * divisor_power_gf(0, count)
-        return [_as_int(ser[i], "a(%d)" % i) for i in range(1, count + 1)]
-    if name == "a057623":
+    """Terms 1..count of an integer sequence: a fraction is a fault."""
+    if name == "tau":  # tau(n) is [x^(n-1)] prod(1-x^m)^24
+        terms = euler_power_recurrence(24, count - 1).coeffs
+    elif name == "a006128":
+        terms = (partition_gf(count) * divisor_power_gf(0, count)).coeffs[1:]
+    elif name == "a057623":
         ser = partition_gf(count) * log_euler_sum(count)
-        return [_as_int(ser[i] * factorial(i), "a(%d)" % i)
-                for i in range(1, count + 1)]
-    if name == "a109085":
-        ser = revert_euler(count, method="iterate")
-        return [_as_int(ser[i], "a(%d)" % i) for i in range(1, count + 1)]
-    # pp: ordered pairs of partitions of total size n, [x^n] prod(1-x^m)^-2
-    ser = euler_power_recurrence(-2, count)
-    return [_as_int(ser[i], "pp(%d)" % i) for i in range(1, count + 1)]
+        terms = [ser[i] * factorial(i) for i in range(1, count + 1)]
+    elif name == "a109085":
+        terms = revert_euler(count, method="iterate").coeffs[1:]
+    else:  # pp: ordered pairs of partitions of total size n, prod(1-x^m)^-2
+        terms = euler_power_recurrence(-2, count).coeffs[1:]
+    _invariant(all(c.denominator == 1 for c in terms),
+               "%s terms must be integers", name)
+    return [c.numerator for c in terms]
 
 
 def _cmd_seq(args):
@@ -399,10 +392,10 @@ def main(argv=None):
         # flush at interpreter exit does not raise again
         try:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        except (OSError, ValueError):
+        except OSError:  # io.UnsupportedOperation is one
             pass  # stdout is not a file descriptor (captured in-process)
         return EXIT_BROKEN_PIPE
-    except ValueError as exc:
+    except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     finally:

@@ -7,7 +7,7 @@ coefficients live in `BetaPoly`, a dense univariate polynomial over the
 rationals.  No floats anywhere.
 
 The number rule of every public boundary lives here, in helpers that only
-raise (a ValueError that names the parameter):
+raise (a UsageError that names the parameter):
 
  * `_require_int`: an int, never a bool (optionally at least some low),
    and `_require_ints`, the same for every entry of a sequence;
@@ -34,6 +34,11 @@ Rational = Fraction
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
 
 
+class UsageError(ValueError):
+    """The one refusal type, and the CLI's only exit 2; a validator the
+    package also runs on its own values raises a plain ValueError."""
+
+
 def parse_rational(text):
     """Parse "p/q" (or "p") into a Fraction.
 
@@ -44,11 +49,11 @@ def parse_rational(text):
         raise TypeError("text must be a str, got %r" % (text,))
     text = text.strip()
     if not _RATIONAL_RE.match(text):
-        raise ValueError("not a rational: %r" % (text,))
+        raise UsageError("not a rational: %r" % (text,))
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError("zero denominator: %r" % (text,)) from None
+        raise UsageError("zero denominator: %r" % (text,)) from None
 
 
 _INT = {int}
@@ -57,15 +62,15 @@ _EXACT = (int, Fraction)
 
 
 def _require_int(value, name, low=None, message=None):
-    """Raise a ValueError unless value is an int (a bool is not) and, given
+    """Raise a UsageError unless value is an int (a bool is not) and, given
     low, at least low: "<name> must be an integer, got <value>" or
     "<name> must be >= <low>", or the caller's own message, which
     str.format fills with the value."""
     if type(value) is not int:
-        raise ValueError(message.format(value) if message else
+        raise UsageError(message.format(value) if message else
                          "%s must be an integer, got %r" % (name, value))
     if low is not None and value < low:
-        raise ValueError(message.format(value) if message else
+        raise UsageError(message.format(value) if message else
                          "%s must be >= %d" % (name, low))
 
 
@@ -92,7 +97,7 @@ def _env_int(name, default, low):
     empty, else decimal digits (blanks around them allowed), at least low."""
     raw = os.environ.get(name, "")
     if raw and not (raw.strip().isdecimal() and int(raw) >= low):
-        raise ValueError("%s must be a %s integer, got %r"
+        raise UsageError("%s must be a %s integer, got %r"
                          % (name, "positive" if low else "non-negative", raw))
     return int(raw) if raw else default
 
@@ -111,10 +116,10 @@ def _ints(cs):
 
 
 def _require_exact(value, name, beta_poly=False):
-    """Raise a ValueError unless value is an int or a Fraction (never a
+    """Raise a UsageError unless value is an int or a Fraction (never a
     bool, a float or a str), or, given beta_poly, a BetaPoly."""
     if type(value) not in _EXACT and not (beta_poly and type(value) is BetaPoly):
-        raise ValueError("%s must be an int or a Fraction, got %r"
+        raise UsageError("%s must be an int or a Fraction, got %r"
                          % (name, value))
 
 

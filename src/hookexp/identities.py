@@ -30,6 +30,7 @@ from types import SimpleNamespace
 
 from .exactnum import (
     BetaPoly,
+    UsageError,
     _env_int,
     _require_int,
     _require_ints,
@@ -667,32 +668,32 @@ def verify(check_id, params=None):
     """Run one registry entry; returns a VerificationReport.  A parameter
     that is not an int (a tuple parameter: an int or a tuple or list of
     ints; bools are refused), or that would check nothing (below its floor,
-    or empty), raises ValueError."""
+    or empty), raises UsageError."""
     try:
         entry = REGISTRY[check_id]
     except KeyError:
-        raise ValueError("unknown identity id: %r" % (check_id,)) from None
+        raise UsageError("unknown identity id: %r" % (check_id,)) from None
     merged = dict(entry.defaults)
     for key, value in (params or {}).items():
         if key not in merged:
-            raise ValueError("unknown parameter %r for %r" % (key, check_id))
+            raise UsageError("unknown parameter %r for %r" % (key, check_id))
         many = isinstance(merged[key], tuple)
         items = tuple(value) if many and isinstance(value, (tuple, list)) \
             else (value,)
         try:
             _require_ints(items, key)
         except ValueError:
-            raise ValueError("parameter %r for %r must be %s, got %r"
+            raise UsageError("parameter %r for %r must be %s, got %r"
                              % (key, check_id, "ints" if many else "an int",
                                 value)) from None
         if many:
             if not items:
-                raise ValueError("parameter %r for %r must not be empty"
+                raise UsageError("parameter %r for %r must not be empty"
                                  % (key, check_id))
             value = items
         floor = entry.minimal.get(key)
         if floor is not None and value < floor:
-            raise ValueError("parameter %r for %r must be at least %d, got %r"
+            raise UsageError("parameter %r for %r must be at least %d, got %r"
                              % (key, check_id, floor, value))
         merged[key] = value
     start = time.perf_counter()
@@ -723,7 +724,7 @@ def verify_all(order_budget=None, workers=None):
     The worker count comes from the HOOKEXP_WORKERS environment variable
     (default 1) unless given explicitly; results do not depend on it.  An
     order_budget or workers that is not an int (or is a bool), or workers
-    below 1, raises ValueError before any check runs.
+    below 1, raises UsageError before any check runs.
     """
     if order_budget is not None:
         _require_int(order_budget, "order_budget")

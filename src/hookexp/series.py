@@ -23,7 +23,9 @@ from .exactnum import (
     _require_exact,
     _require_int,
     _require_size,
+    diff_product,
     power_by_squaring,
+    superfactorial,
 )
 from .partition import (
     _pentagonal_terms,
@@ -32,7 +34,7 @@ from .partition import (
     hook_beta_sums_poly,
     hooks_of,
 )
-from .tcore import _require_coding_t, _v_codings, core_product_from_v
+from .tcore import _require_coding_t, _v_codings
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -384,16 +386,17 @@ def macdonald_eta_power(t, order):
     Sums (-1)^((t-1)/2)/(1!2!...(t-1)!) * prod_{i<j}(v_i - v_j) over integer
     vectors (v_0..v_{t-1}) with v_i = i mod t and sum zero, the exponent of x
     being sum(v^2)/(2t) - (t^2-1)/24: the V-codings of the t-cores, each at
-    its core's weight.  The t-core coding search _v_codings lists the
-    vectors of each weight and hands each one to core_product_from_v, so
-    no vector is kept and none is decoded to a partition.
+    its core's weight.  The coding search _v_codings hands each vector of
+    a weight to diff_product, whose int sum takes the sign and one exact
+    division by 1!2!...(t-1)!; no vector is kept, checked or decoded.
     """
     _require_coding_t(t)
     _require_size(order, "order")
+    sign, scale = (-1) ** ((t - 1) // 2), superfactorial(t - 1)
     out = []
     for n in range(order + 1):
-        c = sum(_v_codings(n, t, lambda v: core_product_from_v(v, t)), _ZERO)
-        _invariant(c.denominator == 1, "eta-power coefficients must be integers")
+        c, r = divmod(sign * sum(_v_codings(n, t, diff_product)), scale)
+        _invariant(r == 0, "eta-power coefficients must be integers")
         out.append(c)
     return Series(out)
 

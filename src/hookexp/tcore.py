@@ -28,6 +28,7 @@ from math import isqrt
 from operator import add, sub
 
 from .exactnum import (
+    UsageError,
     _invariant,
     _require_int,
     _require_ints,
@@ -50,7 +51,7 @@ _CODING_T = "codings need an odd t >= 3, got {!r}"
 def _require_coding_t(t, message=_CODING_T):
     _require_int(t, "t", 3, message)
     if not t % 2:
-        raise ValueError(message.format(t))
+        raise UsageError(message.format(t))
 
 
 def _require_t(t, message="t must be a positive integer"):
@@ -333,6 +334,7 @@ def enumerate_t_cores(n, t, method="filter"):
         raise ValueError("method must be 'filter' or 'coding'")
     _require_coding_t(t)
     cores = _v_codings(n, t, lambda v: core_from_v(v, t))
+    _invariant(set(map(sum, cores)) <= {n}, "decoded cores must have size %d", n)
     cores.sort(reverse=True)
     return cores
 

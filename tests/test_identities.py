@@ -524,7 +524,7 @@ def test_reversion_reports_its_first_mismatch(monkeypatch, skewed_methods,
 @pytest.mark.parametrize("side", ["hook_beta_sums", "pentagonal_series"])
 def test_a_short_side_raises_instead_of_passing(monkeypatch, side):
     # one coefficient fewer on either side must not shorten the comparison;
-    # IndexError, not ValueError (which the CLI reports as a usage error)
+    # it raises IndexError, a fault, which the CLI shows as a traceback
     real = getattr(identities, side)
 
     def short(*args):

@@ -220,7 +220,7 @@ CAUGHT = {cid: set(kernels.split()) for cid, kernels in {
         "exactnum.diff_product exactnum.superfactorial "
         "series.Series._zero_one series.Series.exp series.divisor_power_gf "
         "series.euler_power series.log_euler_sum series.macdonald_eta_power "
-        "tcore._v_codings tcore.core_product_from_v",
+        "tcore._v_codings",
     "magic":
         "exactnum.roots_poly partition._hook_sums_poly "
         "partition._hook_sweep partition._slots partition._unpack_hook_sum "
