@@ -8,9 +8,9 @@ error is a fault in the program's own values: a traceback, exit 1.
 
 `partitions` and `cores --method filter` enumerate every partition of n;
 they refuse an n with more than HOOKEXP_MAX_PARTITIONS partitions
-(default 10^6, about n = 60).  `verify` with `--order N` or `--n N`, and
-`revert --method lagrange --order N`, walk the partitions of every size up
-to N; they refuse an N with more than that many in all (about N = 48).
+(default 10^6, about n = 60).  `verify` with `--order N` or `--n N` walks
+the partitions of every size up to N; it refuses an N with more than that
+many in all (about N = 48).  `revert` and `seq` walk no partition.
 `verify --all --order B` is guarded at the largest size it runs, which
 budget_params caps at the largest default.
 
@@ -264,7 +264,7 @@ def _seq_values(name, count):
         ser = partition_gf(count) * log_euler_sum(count)
         terms = [ser[i] * factorial(i) for i in range(1, count + 1)]
     elif name == "a109085":
-        terms = revert_euler(count, method="iterate").coeffs[1:]
+        terms = revert_euler(count).coeffs[1:]
     else:  # pp: ordered pairs of partitions of total size n, prod(1-x^m)^-2
         terms = euler_power_recurrence(-2, count).coeffs[1:]
     _invariant(all(c.denominator == 1 for c in terms),
@@ -285,8 +285,6 @@ def _cmd_seq(args):
 
 def _cmd_revert(args):
     _require_int(args.order, "--order", 0, "--order must be non-negative")
-    if args.method == "lagrange":
-        _guard_partition_count("--order", args.order, up_to=True)
     ser = revert_euler(args.order, method=args.method)
     for n in range(args.order + 1):
         print("%d: %s" % (n, format_rational(ser[n])))

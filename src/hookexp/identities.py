@@ -191,14 +191,21 @@ def _check_theorem_2_1(K, N):
                                       spread(b, a))))
 
 
+def _partition_poly_sum(m):
+    """sum over the partitions of m of prod(1 - beta/h^2), one
+    hook_beta_poly_of per partition: the sum the sweep packs, not read
+    from it."""
+    return sum(map(hook_beta_poly_of, partition_tuples(m)), BetaPoly())
+
+
 @_register("corollary-2-3",
            "n! times the degree-n hook polynomial has integer coefficients",
            {"n": 10}, {"n": 0})
 def _check_corollary_2_3(n):
     return "n=0..%d" % n, (
         ("n=%d beta^%d" % (m, i), c, "integer")
-        for m, poly in enumerate(hook_beta_sums_poly(n))
-        for i, c in enumerate((poly * factorial(m)).coeffs)
+        for m in range(n + 1)
+        for i, c in enumerate((_partition_poly_sum(m) * factorial(m)).coeffs)
         if c.denominator != 1)
 
 
@@ -530,8 +537,7 @@ def _check_kostant_poly(k):
             f_exp = EF[kk].subst_linear(1, 1)  # beta = s + 1
             # partition route: f_k(s) = sum over partitions of k of
             # prod (1 - (s + 1) / h^2)
-            f_part = sum(map(hook_beta_poly_of, partition_tuples(kk)),
-                         BetaPoly()).subst_linear(1, 1)
+            f_part = _partition_poly_sum(kk).subst_linear(1, 1)
             yield "k=%d (series vs partition routes)" % kk, f_exp, f_part
             if kk in closed:
                 yield "k=%d (closed form)" % kk, f_exp, closed[kk]
@@ -635,17 +641,28 @@ def _check_magic(N):
         "x^%d", _content_hook_polys(N, 1), hook_beta_sums_poly(N))
 
 
+def _hook_reversion(n):
+    """[x^(m+1)] of the reversion of x prod(1 - x^m), m = 0..n, as the
+    paper's hook sums (1/(m+1)) sum over partitions of m of
+    prod(1 + m/h^2), from one sweep."""
+    return [poly.eval(-m) / (m + 1)
+            for m, poly in enumerate(hook_beta_sums_poly(n))]
+
+
 @_register("reversion",
            "compositional inverse of x times the Euler product",
            {"N": 20}, {"N": 1})
 def _check_reversion(N):
+    hook = [0] + _hook_reversion(N - 1)
     a = revert_euler(N, method="lagrange")
     b = revert_euler(N, method="iterate")
     prefix = [0, 1, 1, 3, 10, 38, 153, 646]
-    return ("x^0..x^%d, hook-sum vs fixed-point routes, substitution" % N, chain(
+    return ("x^0..x^%d, recurrence vs fixed-point routes, substitution, "
+            "hook sums" % N, chain(
         _coefficients("x^%d (routes)", a, b),
         _coefficients("x^%d (substitution)",
                       pentagonal_series(N).compose(a) * a, Series.x(N)),
+        _coefficients("x^%d (hook sum)", hook, a),
         _coefficients("x^%d (known prefix)", a.coeffs[:len(prefix)],
                       prefix[:N + 1])))
 
@@ -654,10 +671,8 @@ def _check_reversion(N):
            "scaled reversion hook sums are positive integers",
            {"n": 15}, {"n": 0})
 def _check_cor_9_2(n):
-    vals = (poly.eval(-m) / (m + 1)
-            for m, poly in enumerate(hook_beta_sums_poly(n)))
     return "n=0..%d" % n, (("n=%d" % m, val, "positive integer")
-                           for m, val in enumerate(vals)
+                           for m, val in enumerate(_hook_reversion(n))
                            if val.denominator != 1 or val <= 0)
 
 

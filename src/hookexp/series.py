@@ -27,13 +27,7 @@ from .exactnum import (
     power_by_squaring,
     superfactorial,
 )
-from .partition import (
-    _pentagonal_terms,
-    b_stat_of,
-    contents_of,
-    hook_beta_sums_poly,
-    hooks_of,
-)
+from .partition import _pentagonal_terms, b_stat_of, contents_of, hooks_of
 from .tcore import _require_coding_t, _v_codings
 
 _ZERO = Fraction(0)
@@ -440,9 +434,9 @@ def schur_principal_ones(parts, d):
 def revert_euler(order, method="lagrange"):
     """Compositional inverse y(x) of x = y * prod_{m>=1} (1 - y^m).
 
-    method="lagrange" extracts each coefficient as a hook-length sum:
-      [x^n] y = (1/n) * sum over partitions of n-1 of prod(1 + (n-1)/h^2),
-    each the symbolic sum of hook_beta_sums_poly (one sweep) at beta = 1-n.
+    method="lagrange" is Lagrange inversion through the power recurrence:
+      [x^n] y = (1/n) * [x^(n-1)] prod(1 - x^m)^(-n), read off
+    euler_power_recurrence(-n, n - 1); it enumerates no partition.
     method="iterate" solves the fixed point y = x / prod(1 - y^m) by
     successive substitution over int coefficients, one extra correct order
     per round (round r works only to order r, the first order it can fix),
@@ -452,9 +446,8 @@ def revert_euler(order, method="lagrange"):
     _require_size(order, "order")
     if method == "lagrange":
         coeffs = [_ZERO]
-        sums = hook_beta_sums_poly(max(order - 1, 0))
         for n in range(1, order + 1):
-            c = sums[n - 1].eval(1 - n) / n
+            c = euler_power_recurrence(-n, n - 1)[n - 1] / n
             _invariant(c.denominator == 1,
                        "reversion coefficient of x^%d is not an integer", n)
             coeffs.append(c)

@@ -18,8 +18,10 @@ first-column hooks.  Weight and hook products are polynomial in the
 codings: see core_weight_from_v / core_product_from_v.  The coding search
 _v_codings walks the V-codings of one weight directly, as the weight is
 sum(v^2)/(2t) - (t^2 - 1)/24, and hands each to a reader.
-The public codings check their input by exactnum's number rule and their
-results by exactnum._invariant; _u_of/_v_of/_n_of code a known t-core.
+The public codings check t by exactnum's number rule, their vectors and
+sets by a plain ValueError (they also check the package's own codings),
+and their results by exactnum._invariant; _u_of/_v_of/_n_of code a known
+t-core.
 """
 
 from collections import namedtuple
@@ -31,7 +33,6 @@ from .exactnum import (
     UsageError,
     _invariant,
     _require_int,
-    _require_ints,
     _require_size,
     diff_product,
     superfactorial,
@@ -58,6 +59,13 @@ def _require_t(t, message="t must be a positive integer"):
     _require_int(t, "t", 1, message)
 
 
+def _int_entries(values, name):
+    """A plain ValueError unless every entry is an int (a bool is not)."""
+    for value in values:
+        if type(value) is not int:
+            raise ValueError("%s must be an integer, got %r" % (name, value))
+
+
 def is_t_core(parts, t):
     """True when no hook length equals t (any integer t >= 1).
 
@@ -81,7 +89,7 @@ def validate_t_compact(elements, t):
     positive element e.
     """
     elems = set(elements)
-    _require_ints(elems, "elements entry")
+    _int_entries(elems, "elements entry")
     negatives = {e for e in elems if e <= 0}
     if negatives != set(range(-t, 0)):
         raise ValueError("non-positive elements must be exactly -1..-t")
@@ -221,14 +229,14 @@ def n_from_v(vvec, t):
 
 def _validate_n(nvec, t):
     _require_coding_t(t)
-    _require_ints(nvec, "nvec entry")
+    _int_entries(nvec, "nvec entry")
     if len(nvec) != t or sum(nvec) != 0:
         raise ValueError("N-coding must have t entries summing to zero")
 
 
 def _validate_v(vvec, t):
     _require_coding_t(t)
-    _require_ints(vvec, "vvec entry")
+    _int_entries(vvec, "vvec entry")
     if len(vvec) != t or sum(vvec) != 0:
         raise ValueError("V-coding must have t entries summing to zero")
     for i, v in enumerate(vvec):

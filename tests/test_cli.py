@@ -243,16 +243,15 @@ def test_partition_walks_refuse_too_many_partitions(monkeypatch):
     for argv in (("verify", "--id", "main-identity", "--order", "3"),
                  ("verify", "--id", "cor-9-2", "--n", "3"),
                  ("verify", "--all", "--order", "3"),
-                 ("revert", "--order", "3"),
-                 ("revert", "--order", "30", "--method", "iterate")):
+                 ("revert", "--order", "30", "--method", "iterate"),
+                 ("revert", "--order", "4"),
+                 ("revert", "--method", "lagrange", "--order", "4")):
         assert run_cli(*argv)[0] in (0, 1), argv
     for argv, flag in (
             (("verify", "--id", "main-identity", "--order", "4"), "--order"),
             (("verify", "--id", "theorem-2-1", "--order", "40"), "--order"),
             (("verify", "--id", "cor-9-2", "--n", "4"), "--n"),
-            (("verify", "--all", "--order", "4"), "--order"),
-            (("revert", "--order", "4"), "--order"),
-            (("revert", "--method", "lagrange", "--order", "4"), "--order")):
+            (("verify", "--all", "--order", "4"), "--order")):
         code, out, err = run_cli(*argv)
         assert (code, out) == (2, ""), argv
         assert "%s %s has" % (flag, argv[-1]) in err
@@ -488,6 +487,14 @@ def test_revert_plain():
     assert other[1] == out
 
 
+def test_revert_walks_no_partition_so_the_limit_leaves_it_be(monkeypatch):
+    monkeypatch.setenv("HOOKEXP_MAX_PARTITIONS", "0")
+    code, out, err = run_cli("revert", "--order", "60")
+    assert (code, err) == (0, "")
+    assert run_cli("revert", "--order", "60", "--method", "iterate") == (
+        0, out, "")
+
+
 def test_unknown_subcommand_is_usage_error():
     assert run_cli("frobnicate")[0] == 2
     assert run_cli()[0] == 2
@@ -516,11 +523,12 @@ def test_cli_output_does_not_depend_on_python_O():
     assert opt.stdout == plain.stdout
 
 
-def test_seq_a109085_matches_lagrange_reversion():
+def test_seq_a109085_matches_the_fixed_point_reversion():
+    # the sequence takes the default (lagrange) route, so compare the other
     code, out, _ = run_cli("seq", "--name", "a109085", "--count", "20")
     assert code == 0
     seq = [line.split() for line in out.splitlines()]
-    code, out, _ = run_cli("revert", "--order", "20", "--method", "lagrange")
+    code, out, _ = run_cli("revert", "--order", "20", "--method", "iterate")
     assert code == 0
     rev = [line.split(": ") for line in out.splitlines()]
     assert len(seq) == 20
@@ -597,8 +605,7 @@ def test_the_partition_guard_stops_at_the_first_size_past_the_limit(
     for argv, flag in (
             (("partitions", "--n", "60000"), "--n"),
             (("cores", "--n", "60000", "--t", "5", "--method", "filter"), "--n"),
-            (("verify", "--id", "main-identity", "--order", "60000"), "--order"),
-            (("revert", "--order", "60000"), "--order")):
+            (("verify", "--id", "main-identity", "--order", "60000"), "--order")):
         partition._clear_memos()
         code, out, err = run_cli(*argv)
         assert (code, out) == (2, ""), argv

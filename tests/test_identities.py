@@ -306,10 +306,11 @@ def test_moment_checks_read_one_sweep():
 
 SWEEP_CHECKS = {
     "main-identity": {"N": 6}, "theorem-2-1": {"K": 2, "N": 6},
-    "corollary-2-3": {"n": 6}, "corollary-2-4": {"n": 6, "k": 2},
+    "corollary-2-4": {"n": 6, "k": 2},
     "corollary-2-6": {"n": 6, "k": 1}, "pp-identity": {"n": 6},
     "pentagonal-beta2": {"N": 6}, "jacobi-beta4": {"N": 6}, "magic": {"N": 4},
     "cor-9-2": {"n": 6}, "marked-hook": {"n": 6}, "prop-6-11": {"n": 6},
+    "reversion": {"N": 6},
 }
 
 
@@ -317,7 +318,6 @@ def test_sweep_sits_on_one_side_of_each_check(monkeypatch):
     # skew every hook sum the sweep returns by 1/2: a check that had the
     # sweep on both of its sides would still pass
     from fractions import Fraction
-    import hookexp.series
     from hookexp.partition import (hook_beta_sum_poly, hook_beta_sums,
                                    hook_beta_sums_poly)
 
@@ -328,15 +328,21 @@ def test_sweep_sits_on_one_side_of_each_check(monkeypatch):
     monkeypatch.setattr(identities, "hook_beta_sums", skew(hook_beta_sums))
     monkeypatch.setattr(identities, "hook_beta_sums_poly",
                         skew(hook_beta_sums_poly))
-    monkeypatch.setattr(hookexp.series, "hook_beta_sums_poly",
-                        skew(hook_beta_sums_poly))
     for cid, params in SWEEP_CHECKS.items():
         assert verify(cid, params).status == "fail", cid
-    # the lagrange side of `reversion` stops at its integrality check
-    with pytest.raises(ArithmeticError):
-        verify("reversion", {"N": 6})
     monkeypatch.undo()
     assert all(verify(cid, params).ok for cid, params in SWEEP_CHECKS.items())
+
+
+def test_corollary_2_3_reports_a_skewed_product_at_its_location(monkeypatch):
+    # it sums one product per partition itself, so a skewed product fails
+    # a row; the sweep's unpacking would raise on the same non-integer
+    real = identities.hook_beta_poly_of
+    monkeypatch.setattr(identities, "hook_beta_poly_of", lambda parts: (
+        real(parts) + Fraction(1, 7) if parts == (2, 1) else real(parts)))
+    report = verify("corollary-2-3", {"n": 6})
+    assert report.status == "fail"
+    assert report.first_mismatch["location"] == "n=3 beta^0"
 
 
 def _bump_coefficient(at):
@@ -507,6 +513,7 @@ def test_a_sweep_that_skips_a_node_raises(monkeypatch, cold_walk_caches):
     (("iterate",), "x^3 (routes)"),
     (("lagrange",), "x^3 (routes)"),
     (("lagrange", "iterate"), "x^3 (substitution)"),
+    (("hook sum",), "x^3 (hook sum)"),
 ])
 def test_reversion_reports_its_first_mismatch(monkeypatch, skewed_methods,
                                               location):
@@ -516,6 +523,9 @@ def test_reversion_reports_its_first_mismatch(monkeypatch, skewed_methods,
     def revert(order, method):
         return (skewed if method in skewed_methods else real)(order, method=method)
     monkeypatch.setattr(identities, "revert_euler", revert)
+    if "hook sum" in skewed_methods:  # the sweep's slot m = 2 gives x^3
+        monkeypatch.setattr(identities, "hook_beta_sums_poly",
+                            _bump_coefficient(2)(identities.hook_beta_sums_poly))
     report = verify("reversion", {"N": 6})
     assert report.status == "fail"
     assert report.first_mismatch["location"] == location

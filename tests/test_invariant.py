@@ -174,6 +174,9 @@ def test_a_bad_environment_variable_is_a_usage_error(monkeypatch):
     lambda: partition._require_partition((1, 2)),
     lambda: tcore._validate_v((1, 0, -1), 3),
     lambda: tcore.validate_t_compact({-3, -2, -1, 3}, 3),
+    lambda: tcore._validate_v((0.0, 1, -1), 3),
+    lambda: tcore._validate_n((0, True, -1), 3),
+    lambda: tcore.validate_t_compact({-3, -2, -1, 1.0}, 3),
 ])
 def test_a_structured_validator_is_not_a_refusal(check):
     # the package runs these on its own values too, where a failure is a fault
@@ -218,6 +221,17 @@ def test_a_broken_v_coding_in_coding_is_a_fault(monkeypatch):
     real = cli._v_of
     monkeypatch.setattr(cli, "_v_of", lambda parts, t: real(parts, t)[::-1])
     with pytest.raises(ValueError, match="^V-coding entry") as err:
+        cli.main(["coding", "--parts", "2", "--t", "3"])
+    assert not isinstance(err.value, UsageError)
+
+
+def test_a_float_entry_in_a_built_coding_is_a_fault(monkeypatch):
+    # the coding validators raise a plain ValueError, so this never exits 2
+    real = cli._v_of
+    monkeypatch.setattr(cli, "_v_of", lambda parts, t: tuple(
+        map(float, real(parts, t))))
+    with pytest.raises(ValueError, match="^vvec entry must be an integer, "
+                                         "got 3.0$") as err:
         cli.main(["coding", "--parts", "2", "--t", "3"])
     assert not isinstance(err.value, UsageError)
 

@@ -166,9 +166,9 @@ CAUGHT = {cid: set(kernels.split()) for cid, kernels in {
         "partition._hook_sweep partition._slots partition._unpack_hook_sum "
         "partition.hook_beta_sums_poly",
     "corollary-2-3":
-        "exactnum.BetaPoly.__mul__ partition._hook_sums_poly "
-        "partition._hook_sweep partition._slots partition._unpack_hook_sum "
-        "partition.hook_beta_sums_poly",
+        "exactnum.BetaPoly.__add__ exactnum.BetaPoly.__mul__ "
+        "exactnum.roots_poly partition.conjugate_of "
+        "partition.hook_beta_poly_of partition.hooks_of",
     "corollary-2-4":
         "exactnum.BetaPoly.eval partition._hook_sums_poly "
         "partition._hook_sweep partition._slots partition._unpack_hook_sum "
@@ -286,7 +286,8 @@ CAUGHT = {cid: set(kernels.split()) for cid, kernels in {
         "series.Series.__mul__ series.Series._zero_one "
         "series.Series.compose series.Series.inverse series.Series.map "
         "series.Series.shift series.Series.truncate series._sparse "
-        "series.partition_gf series.pentagonal_series series.revert_euler",
+        "series.euler_power_recurrence series.partition_gf "
+        "series.pentagonal_series series.revert_euler",
     "rsk-square-sum":
         "partition.conjugate_of partition.hooks_of partition.syt_count_of",
     "sebbm":

@@ -54,6 +54,7 @@ EXTRA = [
     # the rest of each command's options
     "hookexp cores --n 12 --t 3 --method filter",
     "hookexp revert --order 8 --method lagrange",
+    "hookexp revert --order 60",
     "hookexp seq --name tau --count 6",
     "hookexp seq --name a006128 --count 6",
     "hookexp seq --name a057623 --count 6",
@@ -77,11 +78,11 @@ PINNED = {
     "hookexp verify --id macdonald --t 7 --order 15":
         (0, "09df719ed47a2fa3cb8959c1437eb0c1b9c8cc1a3c3a2327e3356b2447cd3517"),
     "hookexp verify --all --format json":
-        (1, "32e2df9799dab4dac32338519700d4187cd0df55b1ab20f8697b0c32131cd26f"),
+        (1, "1343701ce9c75063ebbf007612ce1365da45224d628faaa5a19c0f7e0c196482"),
     "hookexp list-identities":
         (0, "45f93d7031d8fdcb64ce1aa7727dc0be7d586010b30fcee8c3badc5b0fce4ad1"),
     "hookexp verify --all --order 10":
-        (1, "c6784bc5375a369df2f1e59f2b53c999d1c096ae9fa16c7d464651fb16ea9456"),
+        (1, "c1a79188fc10db72aa7239351905bcc3c6a4cab8cbbd548c76395b45f1a2ed47"),
     "hookexp partitions --n 5 --t-core 3":
         (0, "751bc88f91111d0040a8878aa8c63eab5b6091ea729d7a0e011fe5ba730480af"),
     "hookexp cores --n 20 --t 5 --method coding":
@@ -114,6 +115,8 @@ PINNED = {
         (0, "a4ff568d016f2bfc5709809373f5e50544191472d83911ed2c9738129193a483"),
     "hookexp revert --order 8 --method lagrange":
         (0, "86bde6a6c5af281b31278a657acc818f11ff428c2292b2610b1952f435fe96ee"),
+    "hookexp revert --order 60":
+        (0, "ad4091a247369f27efd03def22683c44273e3bc3182aec9056d486910542f686"),
     "hookexp seq --name tau --count 6":
         (0, "1a251355f63ae4dda9b931c7fb86c74b3be89ebc6f46bf08ed58e40568fe583b"),
     "hookexp seq --name a006128 --count 6":
@@ -272,7 +275,7 @@ def test_every_command_runs(traced):
 
 
 def test_every_command_prints_its_pinned_bytes(traced):
-    assert len(PINNED) == 32
+    assert len(PINNED) == 33
     assert traced["outputs"] == PINNED
 
 

@@ -554,10 +554,21 @@ def test_an_empty_series_keeps_its_own_message():
 
 def test_lagrange_integrality_check_raises(monkeypatch):
     import hookexp.series as series_mod
-    monkeypatch.setattr(series_mod, "hook_beta_sums_poly",
-                        lambda N: [BetaPoly.constant(Fraction(1, 2))] * (N + 1))
+    monkeypatch.setattr(series_mod, "euler_power_recurrence",
+                        lambda s, order: Series([Fraction(1, 2)] * (order + 1)))
     with pytest.raises(ArithmeticError):
         revert_euler(3, method="lagrange")
+
+
+def test_lagrange_reversion_walks_no_partition(monkeypatch):
+    from hookexp import partition
+
+    def walk(*args, **kwargs):
+        raise AssertionError("a reversion walked the partitions")
+    partition._clear_memos()  # no cached sweep stands in for a walk
+    monkeypatch.setattr(partition, "_top_row_walk", walk)
+    monkeypatch.setattr(partition, "enumerate_partitions", walk)
+    assert revert_euler(60) == revert_euler(60, method="iterate")
 
 
 def test_compose_and_shift():
